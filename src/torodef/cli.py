@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are uniform across subcommands: 0 success/SAT/valid, 1
-UNSAT/invalid, 2 usage or format error, 3 search gave up (indeterminate).
+UNSAT/invalid, 2 usage or format error, 3 search gave up (indeterminate,
+or the recursive search hit Python's recursion limit).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .embedding import (RotationSystem, euler_genus, shortest_noncontractible_cy
                         trace_faces)
 from .generators import (CirculantSpec, GridSpec, InvalidSpec, gen_circulant,
                          gen_grid, gen_named)
-from .graph import DefectVector, Graph
+from .graph import DefectVector, Graph, verify_coloring
 from .iso import are_isomorphic
 from .solver import INDETERMINATE, SAT, solve
 
@@ -87,8 +88,6 @@ def cmd_solve(args) -> int:
     print(f"status {res.status}")
     print(f"nodes {res.nodes}")
     if res.status == SAT:
-        report = None
-        from .graph import verify_coloring
         report = verify_coloring(g, res.coloring, d)
         if args.output:
             with open(args.output, "w") as f:
@@ -102,15 +101,19 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     with open(args.certificate) as f:
-        coloring, d, _ = fileio.read_certificate(f)
+        coloring, d, mono = fileio.read_certificate(f)
     report = fileio.check_certificate(g, coloring, d)
     for c in range(d.k):
         print(f"class {c + 1} maxdeg {report.max_degrees[c]} mono {report.mono_counts[c]}")
-    if report.valid:
+    mono_listed = sorted(tuple(sorted(e)) for e in mono) == sorted(report.all_mono_edges())
+    if report.valid and mono_listed:
         print("valid yes")
         return 0
     print("valid no")
-    print(f"violation class {report.first_violation[0]} at {report.first_violation[1]}")
+    if not report.valid:
+        print(f"violation class {report.first_violation[0]} at {report.first_violation[1]}")
+    if not mono_listed:
+        print("violation mono list differs from the coloring's monochromatic edges")
     return 1
 
 
@@ -185,7 +188,6 @@ def cmd_iso(args) -> int:
 
 
 def _table1_entries():
-    from .generators import GridSpec
     instances = []
     for token in ("k7", "t11"):
         instances.append((token, gen_named(token)[1]))
@@ -288,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_iso)
 
     sp = sub.add_parser("table1", help="run the curated fact suite")
-    sp.add_argument("--seed", type=int, default=0, help="seed for any randomized checks")
     sp.set_defaults(fn=cmd_table1)
 
     return p
@@ -305,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, InvalidSpec, fileio.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except constructions.PipelineError as exc:
+    except (constructions.PipelineError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,13 +10,12 @@ extends that to graphs that are not 5-degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Union
 
 from .embedding import (RotationSystem, cut_and_contract, contract_path,
                         shortest_noncontractible_cycle, shortest_path)
-from .generators import (CirculantSpec, GridSpec, SPORADIC_PAIRS, canonical_offset,
-                         classify_6regular, gen_circulant, gen_grid, gen_named,
-                         grid_as_circulant, unit_image, _offsets_r_form, _units)
+from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
+                         classify_6regular, gen_circulant, gen_grid, _r_forms)
 from .graph import Coloring, DefectVector, Graph, induced_subgraph, degeneracy, verify_coloring
 from .iso import are_isomorphic
 from .solver import SAT, solve, solve_with_precoloring
@@ -198,9 +197,7 @@ def color_0122(g: Graph) -> Certificate:
     psi = color_01_paths_cycles(sub)
     coloring = [0] * g.n
     for v in range(g.n):
-        if base.coloring[v] == split_class:
-            pass
-        else:
+        if base.coloring[v] != split_class:
             coloring[v] = {2: 3, 3: 4}[base.coloring[v]]
     for i, v in enumerate(back):
         coloring[v] = psi[i]
@@ -264,12 +261,11 @@ def pattern_exception(r: int, n: int) -> str:
         return _DIRECT_EXCEPTION_PATTERNS[(r, n)]
     if (r, n) not in SPORADIC_PAIRS:
         raise ValueError(f"(r, n) = ({r}, {n}) is not a sporadic exception pair")
-    target = frozenset({1, r, r + 1})
     for (r0, n0), pat in _DIRECT_EXCEPTION_PATTERNS.items():
         if n0 != n:
             continue
-        for p in _units(n):
-            if unit_image(frozenset({1, r0, r0 + 1}), n, p) == target:
+        for p, r1 in _r_forms(CirculantSpec(n, frozenset({1, r0, r0 + 1}))):
+            if r1 == r:
                 return transport_pattern(pat, n, p)
     raise ValueError(f"no unit transport found for ({r}, {n})")
 
@@ -278,116 +274,64 @@ def apply_pattern(pattern: str) -> Coloring:
     return tuple(PATTERN_CLASS[ch] for ch in pattern)
 
 
+def _by_solve(g: Graph, d: DefectVector, tag: str) -> Certificate:
+    res = solve(g, d)
+    if res.status != SAT:
+        raise PipelineError(f"color_6regular[{tag}]: search came back {res.status}")
+    return make_certificate(g, res.coloring, d, tag)
+
+
 def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
     """Certificate for any simple 6-regular spec.
 
     Non-exceptions get a proper 4-coloring (pattern where available, exact
     search otherwise, so desk scale only).  Exceptions dispatch per case:
     K7 to (0,0,0,3), T11 to (0,0,0,2), the six small grids to search, and
-    the circulant families to their patterns, transported through unit
-    isomorphisms when the offsets are not literally {1,2,3} or {1,r,r+1}.
+    the circulant families to their patterns, transported through the
+    classifier's unit when the offsets are not literally {1,2,3} or
+    {1,r,r+1}, and through its isomorphism witness for multi-column grids.
     """
     cls = classify_6regular(spec)
-    if isinstance(spec, GridSpec):
-        g = gen_grid(spec)[0]
-    else:
-        g = gen_circulant(spec)
-
-    def by_solve(d: DefectVector, tag: str) -> Certificate:
-        res = solve(g, d)
-        if res.status != SAT:
-            raise PipelineError(f"color_6regular[{tag}]: search came back {res.status}")
-        return make_certificate(g, res.coloring, d, tag)
-
-    if isinstance(spec, GridSpec) and spec.n == 1:
-        return _color_circulant(grid_as_circulant(spec), g, cls)
     if isinstance(spec, CirculantSpec):
-        return _color_circulant(spec, g, cls)
-
+        return _color_circulant(gen_circulant(spec), cls)
+    g = gen_grid(spec)[0]
+    if spec.n == 1:
+        return _color_circulant(g, cls)
     if cls.four_colorable:
-        return by_solve(DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
+        return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
     if cls.case == "1":
-        return by_solve(DefectVector.of(0, 0, 0, 1), "6reg-small-exception")
-    if cls.reduced is not None:
-        # The grid is a relabeling of an exception circulant: color the
-        # circulant and carry the coloring through an isomorphism witness.
-        cand = gen_circulant(cls.reduced)
-        ok, witness = are_isomorphic(cand, g)
-        if not ok:
-            raise PipelineError(f"classification of {spec.token()} lost its witness")
-        inner = _color_circulant(cls.reduced, cand, classify_6regular(cls.reduced))
-        coloring = [0] * g.n
-        for v in range(cand.n):
-            coloring[witness[v]] = inner.coloring[v]
-        return make_certificate(g, tuple(coloring), inner.defects,
-                                f"6reg-grid-as-{cls.reduced.token()}")
-    raise PipelineError(f"unhandled grid classification {cls}")
+        return _by_solve(g, DefectVector.of(0, 0, 0, 1), "6reg-small-exception")
+    # The grid is a relabeling of an exception circulant: color the
+    # circulant and carry the coloring through the classifier's witness.
+    inner = _color_circulant(gen_circulant(cls.reduced), classify_6regular(cls.reduced))
+    coloring = [0] * g.n
+    for v, c in enumerate(inner.coloring):
+        coloring[cls.witness[v]] = c
+    return make_certificate(g, tuple(coloring), inner.defects,
+                            f"6reg-grid-as-{cls.reduced.token()}")
 
 
-def _color_circulant(spec: CirculantSpec, g: Graph, cls) -> Certificate:
-    n = spec.n
-
-    def by_solve(d: DefectVector, tag: str) -> Certificate:
-        res = solve(g, d)
-        if res.status != SAT:
-            raise PipelineError(f"color_6regular[{tag}]: search came back {res.status}")
-        return make_certificate(g, res.coloring, d, tag)
-
-    # The two genuine (0,0,0,1)-exceptions.
-    if _reaches_123(spec) and n == 7:
-        return by_solve(DefectVector.of(0, 0, 0, 3), "6reg-k7")
-    if _reaches_123(spec) and n == 11:
-        return by_solve(DefectVector.of(0, 0, 0, 2), "6reg-t11")
-
-    unit = _unit_to_123(spec)
-    if unit is not None:
-        # G_n[offsets] = image of G_n[1,2,3] under v -> inv(unit) * v.
-        inv = pow(unit, -1, n)
-        pattern = transport_pattern(pattern_circ123(n), n, inv)
-        coloring = apply_pattern(pattern)
+def _color_circulant(g: Graph, cls: Classification) -> Certificate:
+    n = g.n
+    if cls.case in ("4", "3->4", "->4"):
+        # The two genuine (0,0,0,1)-exceptions.
+        if n == 7:
+            return _by_solve(g, DefectVector.of(0, 0, 0, 3), "6reg-k7")
+        if n == 11:
+            return _by_solve(g, DefectVector.of(0, 0, 0, 2), "6reg-t11")
+        # G_n[offsets] is the image of G_n[1,2,3] under v -> inv(unit) * v.
+        pattern = transport_pattern(pattern_circ123(n), n, pow(cls.unit, -1, n))
         if n % 4 == 0:
             d = DefectVector.of(0, 0, 0, 0)
         else:
             d = DefectVector.of(0, 0, 0, 1)
-        return make_certificate(g, coloring, d, f"6reg-pattern-123(n={n})")
-
-    sporadic = _unit_to_sporadic(spec)
-    if sporadic is not None:
-        (r, _), unit = sporadic
-        inv = pow(unit, -1, n)
-        pattern = transport_pattern(pattern_exception(r, n), n, inv)
-        coloring = apply_pattern(pattern)
-        return make_certificate(g, coloring, DefectVector.of(0, 0, 0, 1),
+        return make_certificate(g, apply_pattern(pattern), d, f"6reg-pattern-123(n={n})")
+    if cls.case == "5":
+        r = sorted(cls.reduced.offsets)[1]
+        pattern = transport_pattern(pattern_exception(r, n), n, pow(cls.unit, -1, n))
+        return make_certificate(g, apply_pattern(pattern), DefectVector.of(0, 0, 0, 1),
                                 f"6reg-pattern-sporadic(r={r},n={n})")
-
-    if cls.four_colorable:
-        return by_solve(DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
-    raise PipelineError(f"unhandled circulant classification {cls}")
-
-
-def _unit_to_123(spec: CirculantSpec) -> Optional[int]:
-    """Unit p with p * offsets = {1,2,3} (identity when already there)."""
-    for p in _units(spec.n):
-        if unit_image(spec.offsets, spec.n, p) == frozenset({1, 2, 3}):
-            return p
-    return None
-
-
-def _reaches_123(spec: CirculantSpec) -> bool:
-    return _unit_to_123(spec) is not None
-
-
-def _unit_to_sporadic(spec: CirculantSpec):
-    """((r, n), unit) with unit * offsets hitting a sporadic pair's form."""
-    n = spec.n
-    for (r, n0) in SPORADIC_PAIRS:
-        if n0 != n:
-            continue
-        target = frozenset({1, r, r + 1})
-        for p in _units(n):
-            if unit_image(spec.offsets, n, p) == target:
-                return (r, n), p
-    return None
+    return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
 
 
 def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpec]) -> Certificate:

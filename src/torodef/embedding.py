@@ -241,7 +241,6 @@ def is_contractible(rot: RotationSystem, c: CycleCert) -> bool:
 def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest rotation/reflection, anchored at min vertex."""
     vs = list(vertices)
-    k = len(vs)
     best = None
     for seq in (vs, vs[::-1]):
         i = seq.index(min(seq))

@@ -127,7 +127,10 @@ def read_certificate(f: TextIO) -> tuple[Coloring, DefectVector, tuple[tuple[int
     mono_count = None
     for parts in lines[1:]:
         if parts[0] == "color" and len(parts) == 3:
-            colors[int(parts[1]) - 1] = int(parts[2])
+            v = int(parts[1]) - 1
+            if v in colors:
+                raise FormatError(f"repeated color line for vertex {v + 1}")
+            colors[v] = int(parts[2])
         elif parts[0] == "mono" and len(parts) == 2:
             mono_count = int(parts[1])
         elif parts[0] == "me" and len(parts) == 3:

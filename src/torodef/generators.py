@@ -280,12 +280,21 @@ def yehzhu_exceptions() -> tuple[ExceptionCase, ...]:
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict for one 6-regular spec: either 4-colorable or an exception."""
+    """Verdict for one 6-regular spec: either 4-colorable or an exception.
+
+    For a circulant in a listed family, ``reduced`` is its family form
+    G_n[1,2,3] or G_n[1,r,r+1] and ``unit`` the p with p * offsets equal to
+    the reduced offsets (1 when the spec already has that form).  For a
+    multi-column grid matched to a listed graph by isomorphism,
+    ``witness[v]`` is the grid vertex that vertex v of the listed graph maps
+    to, and ``reduced`` names that graph when it is a circulant.
+    """
 
     four_colorable: bool
     case: Optional[str] = None          # "1", "4", "3->4", "5", ...
     reduced: Optional[CirculantSpec] = None
     unit: Optional[int] = None
+    witness: Optional[tuple[int, ...]] = None
 
 
 def _units(n: int):
@@ -328,7 +337,7 @@ def classify_6regular(spec: Union[GridSpec, CirculantSpec],
     compared against an exact 4-colorability search.
     """
     g = _validate_6regular(spec)
-    result = _classify(spec)
+    result = _classify(spec, g)
     if cross_check and g.n <= 30:
         from .solver import solve
         from .graph import DefectVector
@@ -361,25 +370,26 @@ def _exception_graphs(order: int):
             yield gen_circulant(cspec), str(matching[0].case_id), cspec
 
 
-def _classify_grid_by_isomorphism(spec: GridSpec) -> Classification:
-    """Place a multi-column grid by comparing it against same-order
+def _classify_grid_by_isomorphism(g: Graph) -> Classification:
+    """Place a multi-column grid's graph by comparing it against same-order
     exception graphs; grid parameters alone do not determine membership
     because distinct specs can describe isomorphic graphs."""
     from .iso import are_isomorphic
-    g = gen_grid(spec)[0]
     for candidate, case, cspec in _exception_graphs(g.n):
-        if are_isomorphic(candidate, g)[0]:
-            return Classification(False, case=case, reduced=cspec)
+        ok, witness = are_isomorphic(candidate, g)
+        if ok:
+            return Classification(False, case=case, reduced=cspec,
+                                  witness=tuple(witness[v] for v in range(g.n)))
     return Classification(True)
 
 
-def _classify(spec: Union[GridSpec, CirculantSpec]) -> Classification:
+def _classify(spec: Union[GridSpec, CirculantSpec], g: Graph) -> Classification:
     if isinstance(spec, GridSpec):
         if spec in SMALL_EXCEPTION_GRIDS:
             return Classification(False, case="1")
         if spec.n == 1:
-            return _classify(grid_as_circulant(spec))
-        return _classify_grid_by_isomorphism(spec)
+            return _classify(grid_as_circulant(spec), g)
+        return _classify_grid_by_isomorphism(g)
 
     n = spec.n
     direct_r = _offsets_r_form(spec.offsets)
@@ -389,24 +399,17 @@ def _classify(spec: Union[GridSpec, CirculantSpec]) -> Classification:
             f"{spec.token()} is not unit-equivalent to any G_n[1,r,r+1]; "
             "its toroidality is not established by this classifier")
 
-    to_123 = [(p, r) for p, r in forms if r == 2]
-    if to_123:
-        if direct_r == 2:
-            case = "4"
-            unit = None
-            reduced = None
-        else:
-            case = "3->4" if direct_r is not None else "->4"
-            unit = to_123[0][0]
-            reduced = CirculantSpec(n, frozenset({1, 2, 3}))
-        if n % 4 != 0:
-            return Classification(False, case=case, reduced=reduced, unit=unit)
-        return Classification(True, case=case, reduced=reduced, unit=unit)
+    for p, r in forms:
+        if r == 2:
+            if direct_r == 2:
+                case = "4"
+            else:
+                case = "3->4" if direct_r is not None else "->4"
+            return Classification(n % 4 == 0, case=case,
+                                  reduced=CirculantSpec(n, frozenset({1, 2, 3})), unit=p)
 
     for p, r in forms:
         if (r, n) in SPORADIC_PAIRS:
-            if direct_r is not None and (direct_r, n) in SPORADIC_PAIRS:
-                return Classification(False, case="5")
             return Classification(False, case="5",
                                   reduced=CirculantSpec(n, frozenset({1, r, r + 1})), unit=p)
     return Classification(True)

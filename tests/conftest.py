@@ -1,11 +1,12 @@
 """Shared helpers for the test suite."""
+import math
 import random
 
 import pytest
 
 from torodef import (DefectVector, InvalidSpec, build_graph,
                      solve_with_precoloring)
-from torodef.generators import GridSpec
+from torodef.generators import CirculantSpec, GridSpec
 
 
 def all_valid_grids(max_vertices: int):
@@ -21,6 +22,21 @@ def all_valid_grids(max_vertices: int):
                 if spec.valid:
                     specs.append(spec)
     return specs
+
+
+def unit_family_circulants(max_n: int):
+    """Every 6-regular circulant G_n[S], n <= max_n, whose offset set S is a
+    unit multiple of some {1, r, r+1}, each set once."""
+    pool = set()
+    for n in range(7, max_n + 1):
+        for r in range(2, n // 2):
+            for p in range(1, n):
+                if math.gcd(p, n) != 1:
+                    continue
+                offs = frozenset(min(p * x % n, n - p * x % n) for x in (1, r, r + 1))
+                if len(offs) == 3 and 2 * max(offs) != n:
+                    pool.add((n, tuple(sorted(offs))))
+    return [CirculantSpec(n, frozenset(offs)) for n, offs in sorted(pool)]
 
 
 def random_connected_graph(rng: random.Random, n: int):

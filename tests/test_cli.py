@@ -67,6 +67,8 @@ def test_format_errors():
         fileio.read_rotation(io.StringIO("p rot 2 1\nr 1 2\n"))  # missing row
     with pytest.raises(fileio.FormatError):
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\nmono 1\n"))
+    with pytest.raises(fileio.FormatError):  # a repeated color line, not an overwrite
+        fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\ncolor 1 2\nmono 0\n"))
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -159,7 +161,21 @@ def test_verify_detects_tampering(tmp_path, capsys):
     with open(cert, "w") as f:
         fileio.write_certificate(out_of_range, d, mono, f)
     assert run(["verify", t11 + ".g", cert]) == 2  # ...but class > k never parses as valid
+    made_up = ((0, 1),)
+    assert mono != made_up
+    with open(cert, "w") as f:
+        fileio.write_certificate(coloring, d, made_up, f)
+    assert run(["verify", t11 + ".g", cert]) == 1  # listed mono edges must be the real ones
     capsys.readouterr()
+
+
+def test_solve_recursion_limit_exits_3(tmp_path, capsys):
+    c1500 = str(tmp_path / "c1500")
+    run(["gen", "c1500", "--output", c1500])
+    capsys.readouterr()
+    # The recursive search runs out of stack on a 1500-vertex cycle: it gave up.
+    assert run(["solve", c1500 + ".g", "--defects", "0,0"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_color_command(tmp_path, capsys):

@@ -2,7 +2,7 @@
 import pytest
 
 from torodef import (CirculantSpec, DefectVector, GridSpec, build_graph,
-                     gen_circulant, gen_grid, gen_named, solve,
+                     classify_6regular, gen_circulant, gen_grid, gen_named, solve,
                      verify_coloring)
 from torodef.constructions import (PipelineError, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
@@ -11,7 +11,7 @@ from torodef.constructions import (PipelineError, apply_pattern, color_0004,
                                    make_certificate, pattern_circ123,
                                    pattern_exception, transport_pattern)
 from torodef.generators import SPORADIC_PAIRS
-from .conftest import admits_mono_at_most
+from .conftest import admits_mono_at_most, unit_family_circulants
 
 
 def _embedded_instances():
@@ -194,6 +194,38 @@ def test_color_6regular_dispatch():
     _check_6reg(CirculantSpec(13, frozenset({1, 2, 3})), "0,0,0,1")
     _check_6reg(CirculantSpec(13, frozenset({1, 3, 4})), "0,0,0,1")  # sporadic
     _check_6reg(CirculantSpec(9, frozenset({1, 3, 4})), "0,0,0,1")   # reduces to [1,2,3]
+    # Multi-column grids colored through the classifier's isomorphism witness.
+    _check_6reg(GridSpec(6, 3, 3), "0,0,0,1")                      # G_18[1,2,3]
+    _check_6reg(GridSpec(9, 2, 6), "0,0,0,1")                      # G_18[1,3,4]
+    _check_6reg(GridSpec(7, 2, 4), "0,0,0,1")                      # G_14[1,2,3]
+
+
+def test_color_6regular_over_the_unit_family():
+    specs = unit_family_circulants(30)
+    assert len(specs) == 471
+    for spec in specs:
+        n = spec.n
+        cls = classify_6regular(spec)
+        cert = color_6regular(spec)
+        in_123 = cls.reduced == CirculantSpec(n, frozenset({1, 2, 3}))
+        if cls.four_colorable:
+            want = "0,0,0,0"
+        elif in_123 and n == 7:
+            want = "0,0,0,3"
+        elif in_123 and n == 11:
+            want = "0,0,0,2"
+        else:
+            want = "0,0,0,1"
+        assert str(cert.defects) == want, spec
+        assert verify_coloring(gen_circulant(spec), cert.coloring, cert.defects).valid, spec
+        if cls.reduced is None or (in_123 and n in (7, 11)):
+            continue
+        # Transport is an isomorphism: it keeps the pattern's monochromatic edges.
+        r = sorted(cls.reduced.offsets)[1]
+        pattern = pattern_circ123(n) if in_123 else pattern_exception(r, n)
+        report = verify_coloring(gen_circulant(cls.reduced), apply_pattern(pattern),
+                                 cert.defects)
+        assert len(cert.mono_edges) == len(report.all_mono_edges()), spec
 
 
 def test_color_6regular_through_hidden_unit_image():
