@@ -7,6 +7,7 @@ or the recursive search hit Python's recursion limit).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Optional
@@ -138,8 +139,6 @@ def cmd_color(args) -> int:
             op = {"600001": constructions.color_600001,
                   "00002": constructions.color_00002,
                   "0004": constructions.color_0004}[name]
-            if euler_genus(rot) != 2:
-                raise UsageError("construction requires a torus embedding (Euler genus 2)")
             cert = op(rot)
     print(f"construction {cert.provenance}")
     print(f"defects {cert.defects}")
@@ -150,6 +149,7 @@ def cmd_color(args) -> int:
 def cmd_embed_info(args) -> int:
     rot = _load_rotation(args.rotation)
     g = rot.graph
+    genus = euler_genus(rot)  # first, so a degenerate file is rejected before any output
     faces = trace_faces(rot)
     hist: dict[int, int] = {}
     for f in faces:
@@ -157,7 +157,7 @@ def cmd_embed_info(args) -> int:
     print(f"V {g.n}")
     print(f"E {g.m}")
     print(f"F {len(faces)}")
-    print(f"genus {euler_genus(rot)}")
+    print(f"genus {genus}")
     for deg in sorted(hist):
         print(f"faces_deg_{deg} {hist[deg]}")
     return 0
@@ -165,8 +165,6 @@ def cmd_embed_info(args) -> int:
 
 def cmd_sncc(args) -> int:
     rot = _load_rotation(args.rotation)
-    if euler_genus(rot) != 2:
-        raise UsageError("sncc requires a torus embedding (Euler genus 2)")
     cert = shortest_noncontractible_cycle(rot)
     print(f"length {cert.length}")
     print("cycle " + " ".join(str(v + 1) for v in cert.vertices))
@@ -246,7 +244,9 @@ def cmd_table1(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     p = argparse.ArgumentParser(prog="torodef",
                                 description="Defective colorings of toroidal graphs")
     sub = p.add_subparsers(dest="command", required=True)

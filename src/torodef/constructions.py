@@ -10,7 +10,7 @@ extends that to graphs that are not 5-degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .embedding import (RotationSystem, cut_and_contract, contract_path,
                         shortest_noncontractible_cycle, shortest_path)
@@ -68,22 +68,22 @@ def _four_color_planar(h: Graph, provenance: str) -> Coloring:
     return res.coloring
 
 
-def _cut_stage(rot: RotationSystem):
-    cyc = shortest_noncontractible_cycle(rot)
-    cut = cut_and_contract(rot, cyc)
-    return cyc, cut
+def _lift(n: int, orig: Sequence[Optional[int]], phi: Coloring) -> list[int]:
+    """Carry a coloring of a contracted graph back to the ``n`` original
+    vertices through ``orig``; contracted-away vertices get color 0."""
+    coloring = [0] * n
+    for hv, gv in enumerate(orig):
+        if gv is not None:
+            coloring[gv] = phi[hv]
+    return coloring
 
 
 def color_600001(rot: RotationSystem) -> Certificate:
     """Six classes, the last starred: cut along the shortest non-contractible
     cycle, 4-color the planar remainder, spend colors 5 and 6 on the cycle."""
-    cyc, cut = _cut_stage(rot)
-    phi = _four_color_planar(cut.h, "color_600001")
-    n = rot.graph.n
-    coloring = [0] * n
-    for hv, gv in enumerate(cut.orig):
-        if gv is not None:
-            coloring[gv] = phi[hv]
+    cyc = shortest_noncontractible_cycle(rot)
+    cut = cut_and_contract(rot, cyc)
+    coloring = _lift(rot.graph.n, cut.orig, _four_color_planar(cut.h, "color_600001"))
     for v, c in zip(cyc.vertices, color_cycle_56(cyc.length)):
         coloring[v] = c
     d = DefectVector.of(0, 0, 0, 0, 0, 1, stars=(5,))
@@ -93,13 +93,9 @@ def color_600001(rot: RotationSystem) -> Certificate:
 def color_00002(rot: RotationSystem) -> Certificate:
     """Five classes: planar 4-coloring off the cycle, the whole cycle in
     class 5.  The cycle is chordless, so class 5 induces max degree 2."""
-    cyc, cut = _cut_stage(rot)
-    phi = _four_color_planar(cut.h, "color_00002")
-    n = rot.graph.n
-    coloring = [0] * n
-    for hv, gv in enumerate(cut.orig):
-        if gv is not None:
-            coloring[gv] = phi[hv]
+    cyc = shortest_noncontractible_cycle(rot)
+    cut = cut_and_contract(rot, cyc)
+    coloring = _lift(rot.graph.n, cut.orig, _four_color_planar(cut.h, "color_00002"))
     for v in cyc.vertices:
         coloring[v] = 5
     d = DefectVector.of(0, 0, 0, 0, 2)
@@ -110,26 +106,20 @@ def color_0004(rot: RotationSystem) -> Certificate:
     """Four classes with one defect-4 class: after the cut, contract a
     shortest path between the two cycle vertices and 4-color the result;
     the cycle plus the path interior share the contracted vertex's color."""
-    cyc, cut = _cut_stage(rot)
-    h = cut.h
-    pstar = shortest_path(h, cut.u, cut.v)
-    g2, vstar, orig2 = contract_path(h, pstar)
+    cyc = shortest_noncontractible_cycle(rot)
+    cut = cut_and_contract(rot, cyc)
+    pstar = shortest_path(cut.h, cut.u, cut.v)
+    g2, vstar, orig2 = contract_path(cut.h, pstar)
     phi = _four_color_planar(g2, "color_0004")
 
-    n = rot.graph.n
-    coloring = [0] * n
     # Colors of vertices surviving both stages flow back through both maps.
-    h_index_of = {gv: hv for hv, gv in enumerate(cut.orig) if gv is not None}
-    g2_index_of = {hv: i for i, hv in enumerate(orig2) if hv is not None}
+    coloring = _lift(rot.graph.n, [None if hv is None else cut.orig[hv] for hv in orig2], phi)
     star_color = phi[vstar]
     defect_class = set(cyc.vertices)
     for p in pstar[1:-1]:
         defect_class.add(cut.orig[p])
-    for gv in range(n):
-        if gv in defect_class:
-            coloring[gv] = star_color
-        else:
-            coloring[gv] = phi[g2_index_of[h_index_of[gv]]]
+    for gv in defect_class:
+        coloring[gv] = star_color
 
     deg_in_class = max(
         (sum(1 for w in rot.graph.adj[v] if w in defect_class) for v in defect_class),

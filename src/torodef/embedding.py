@@ -94,8 +94,15 @@ def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
 
 
 def euler_genus(rot: RotationSystem) -> int:
-    """Euler genus 2 - (|V| - |E| + |F|); even for rotation systems."""
+    """Euler genus 2 - (|V| - |E| + |F|); even for rotation systems.
+
+    Faces are traced along darts, so a graph without edges has none, and
+    the faces of a disconnected graph lie on several surfaces: both are a
+    ``ValueError``.
+    """
     g = rot.graph
+    if g.m == 0 or not _connected(g):
+        raise ValueError("Euler genus needs a connected graph with at least one edge")
     eg = 2 - (g.n - g.m + len(trace_faces(rot)))
     if eg < 0 or eg % 2 != 0:
         raise AssertionError(f"impossible Euler genus {eg} from face tracing")
@@ -250,75 +257,58 @@ def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def _reduce_to_simple(walk: list[int], sig: dict[Edge, int]) -> Optional[list[int]]:
-    """Extract a simple closed subwalk with nonzero signature, if one exists."""
-    if walk_signature(sig, walk) == 0:
-        return None
-    seen: dict[int, int] = {}
-    for i, v in enumerate(walk):
-        if v in seen:
-            a = walk[seen[v]:i]
-            b = walk[:seen[v]] + walk[i:]
-            for part in (a, b):
-                if len(part) >= 3:
-                    got = _reduce_to_simple(part, sig)
-                    if got is not None:
-                        return got
-            return None
-        seen[v] = i
-    return walk if len(walk) >= 3 else None
-
-
 def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     """Shortest cycle with nonzero homology signature on the torus.
 
-    Per-vertex BFS trees; candidates come from non-tree edges and are
-    reduced to simple cycles.  Ties are broken by (length, lexicographic
-    canonical vertex sequence).  The output is checked to be induced and to
-    have at most 3 neighbors of any vertex on it, both of which must hold
-    for a genuinely shortest non-contractible cycle.
+    One BFS tree per root vertex.  Each non-tree edge (u, w) closes the
+    fundamental cycle u .. lca .. w through the lowest common ancestor of u
+    and w; its signature is ``psig[u] ^ psig[w] ^ sig[(u, w)]``, where
+    ``psig[v]`` is the signature of the tree path from the root to v, so
+    contractible candidates are discarded without building a path.  A
+    candidate with ``dist[u] + dist[w] + 1`` above the best length so far is
+    skipped, and so the BFS need not grow past depth ``best // 2``.  Ties are
+    broken by (length, lexicographic canonical vertex sequence).  The output
+    is checked to be induced and to have at most 3 neighbors of any vertex on
+    it, both of which must hold for a genuinely shortest non-contractible
+    cycle.
     """
     g = rot.graph
     if euler_genus(rot) != 2:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
     sig = edge_signatures(rot)
+    edges = list(g.edges())
 
     best: Optional[tuple[int, tuple[int, ...]]] = None
     for root in range(g.n):
+        depth_cap = g.n if best is None else best[0] // 2
         dist = {root: 0}
         parent = {root: -1}
-        order = [root]
+        psig = {root: 0}
         queue = deque([root])
         while queue:
             u = queue.popleft()
+            if dist[u] >= depth_cap:
+                break
             for w in sorted(g.adj[u]):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
-                    order.append(w)
+                    psig[w] = psig[u] ^ sig[_edge(u, w)]
                     queue.append(w)
 
-        def path_to_root(v: int) -> list[int]:
-            path = []
-            while v != -1:
-                path.append(v)
-                v = parent[v]
-            return path
-
-        for u, w in g.edges():
-            if parent.get(u) == w or parent.get(w) == u:
+        for u, w in edges:
+            if u not in dist or w not in dist or parent[u] == w or parent[w] == u:
                 continue
-            cand_len = dist[u] + dist[w] + 1
-            if best is not None and cand_len > best[0]:
+            if best is not None and dist[u] + dist[w] + 1 > best[0]:
                 continue
-            pu = path_to_root(u)[::-1]  # root .. u
-            pw = path_to_root(w)       # w .. root
-            walk = pu + pw[:-1]        # closed: root..u,w..(root dropped)
-            simple = _reduce_to_simple(walk, sig)
-            if simple is None:
+            if psig[u] ^ psig[w] ^ sig[(u, w)] == 0:
                 continue
-            canon = _canonical_cycle(simple)
-            key = (len(simple), canon)
+            up_u, up_w = [u], [w]  # climb the deeper side until both meet at the lca
+            while up_u[-1] != up_w[-1]:
+                deeper = up_u if dist[up_u[-1]] >= dist[up_w[-1]] else up_w
+                deeper.append(parent[deeper[-1]])
+            cycle = up_u[::-1] + up_w[:-1]  # lca .. u, w .. (child of lca)
+            key = (len(cycle), _canonical_cycle(cycle))
             if best is None or key < best:
                 best = key
 

@@ -132,6 +132,8 @@ def read_certificate(f: TextIO) -> tuple[Coloring, DefectVector, tuple[tuple[int
                 raise FormatError(f"repeated color line for vertex {v + 1}")
             colors[v] = int(parts[2])
         elif parts[0] == "mono" and len(parts) == 2:
+            if mono_count is not None:
+                raise FormatError("repeated mono line")
             mono_count = int(parts[1])
         elif parts[0] == "me" and len(parts) == 3:
             mono.append((int(parts[1]) - 1, int(parts[2]) - 1))

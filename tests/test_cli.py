@@ -6,7 +6,7 @@ import pytest
 from torodef import DefectVector, gen_grid, gen_named, verify_coloring
 from torodef.generators import GridSpec
 from torodef import fileio
-from torodef.cli import main, parse_family_token
+from torodef.cli import build_parser, main, parse_family_token
 
 
 # --- formats ----------------------------------------------------------------
@@ -69,6 +69,8 @@ def test_format_errors():
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\nmono 1\n"))
     with pytest.raises(fileio.FormatError):  # a repeated color line, not an overwrite
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\ncolor 1 2\nmono 0\n"))
+    with pytest.raises(fileio.FormatError):  # a repeated mono line, not an overwrite
+        fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\nmono 5\nmono 0\n"))
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -227,6 +229,34 @@ def test_embed_info_and_sncc(tmp_path, capsys):
     assert run(["sncc", grid + ".rot"]) == 0
     lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
     assert lines["length"] == "3"
+
+
+@pytest.mark.parametrize("text,genus", [
+    ("p rot 1 0\nr 1\n", None),                                     # a lone vertex
+    ("p rot 0 0\n", None),                                           # no vertex at all
+    ("p rot 6 6\nr 1 2 3\nr 2 3 1\nr 3 1 2\nr 4 5 6\nr 5 6 4\nr 6 4 5\n", None),  # two triangles
+    ("p rot 4 6\nr 1 2 3 4\nr 2 1 4 3\nr 3 1 2 4\nr 4 1 3 2\n", "0"),  # planar K4
+])
+def test_rotation_files_off_the_torus_exit_2(tmp_path, capsys, text, genus):
+    path = str(tmp_path / "x.rot")
+    with open(path, "w") as f:
+        f.write(text)
+    for argv in ([["color", path, "--construction", c] for c in ("600001", "00002", "0004")]
+                 + [["sncc", path]]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == "", argv
+    if genus is None:  # no genus at all: embed-info rejects the file before any output
+        assert run(["embed-info", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+    else:
+        assert run(["embed-info", path]) == 0
+        assert f"genus {genus}" in capsys.readouterr().out.splitlines()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_iso_command(tmp_path, capsys):

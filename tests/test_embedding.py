@@ -7,6 +7,7 @@ from torodef.embedding import (RotationSystem, cut_and_contract, contract_path,
                                edge_signatures, euler_genus, is_contractible,
                                make_cycle_cert, shortest_noncontractible_cycle,
                                shortest_path, trace_faces, walk_signature)
+from torodef.cli import parse_family_token
 from .conftest import all_valid_grids
 
 K4_PLANAR_ROT = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
@@ -46,6 +47,18 @@ def test_planar_k4_rotation():
     rot = k4_planar()
     assert euler_genus(rot) == 0
     assert len(trace_faces(rot)) == 4
+
+
+@pytest.mark.parametrize("n,edges,rows", [
+    (1, [], ((),)),                                              # a lone vertex
+    (0, [], ()),                                                 # no vertex at all
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],       # two disjoint triangles
+     ((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4))),
+])
+def test_euler_genus_rejects_degenerate_graphs(n, edges, rows):
+    rot = RotationSystem(build_graph(n, edges), rows)
+    with pytest.raises(ValueError):
+        euler_genus(rot)
 
 
 def test_face_darts_partition():
@@ -154,6 +167,26 @@ def test_sncc_matches_brute_oracle_on_small_grids():
         assert not is_contractible(rot, cert)
         oracle = _sncc_oracle(rot, bound=cert.length)
         assert oracle == cert.length, spec.token()
+
+
+# The tie-break (length, then lexicographically smallest canonical sequence)
+# picks one of several shortest cycles on each of these embeddings.
+@pytest.mark.parametrize("token,vertices", [
+    ("k7", (0, 1, 2)),
+    ("t11", (0, 1, 2)),
+    ("grid:5x5,2", (0, 1, 2, 3, 4)),
+    ("grid:8x8,1", (0, 1, 2, 3, 4, 5, 6, 7)),
+    ("grid:4x11,2", (0, 11, 22, 33)),
+    ("grid:9x5,7", (0, 5, 29, 33, 37, 41)),
+    ("grid:6x6,3", (0, 1, 2, 3, 4, 35)),
+    ("grid:7x7,3", (0, 1, 2, 3, 4, 5, 48)),
+    ("grid:10x4,7", (0, 4, 8, 31, 34, 37)),
+    ("grid:8x6,5", (0, 1, 2, 45, 40, 35)),
+    ("grid:12x4,5", (0, 39, 42, 45)),
+])
+def test_sncc_tie_break_is_pinned(token, vertices):
+    _, rot, _ = parse_family_token(token)
+    assert shortest_noncontractible_cycle(rot).vertices == vertices
 
 
 def test_sncc_is_deterministic():
