@@ -69,25 +69,27 @@ def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
 
     From dart (u -> v) the walk continues with the successor of (v -> u) in
     v's rotation.  Every dart lies in exactly one face, so the face degrees
-    sum to twice the edge count.
+    sum to twice the edge count.  Each face starts at its smallest dart, and
+    the faces come in the order of those darts.
     """
     g = rot.graph
     pos = [{w: i for i, w in enumerate(rot.rot[v])} for v in range(g.n)]
-    unused: set[Dart] = {(u, v) for u in range(g.n) for v in g.adj[u]}
+    used: set[Dart] = set()
     faces = []
-    while unused:
-        start = min(unused)
+    for start in ((u, v) for u in range(g.n) for v in sorted(g.adj[u])):
+        if start in used:
+            continue
         walk = []
         dart = start
         while True:
             walk.append(dart)
-            unused.discard(dart)
+            used.add(dart)
             u, v = dart
             nbrs = rot.rot[v]
             dart = (v, nbrs[(pos[v][u] + 1) % len(nbrs)])
             if dart == start:
                 break
-            if dart not in unused:
+            if dart in used:
                 raise ValueError(f"malformed rotation: dart {dart} reused")
         faces.append(tuple(walk))
     return tuple(faces)
@@ -100,10 +102,13 @@ def euler_genus(rot: RotationSystem) -> int:
     the faces of a disconnected graph lie on several surfaces: both are a
     ``ValueError``.
     """
-    g = rot.graph
+    return _genus_of_faces(rot.graph, trace_faces(rot))
+
+
+def _genus_of_faces(g: Graph, faces: Sequence[Sequence[Dart]]) -> int:
     if g.m == 0 or not _connected(g):
         raise ValueError("Euler genus needs a connected graph with at least one edge")
-    eg = 2 - (g.n - g.m + len(trace_faces(rot)))
+    eg = 2 - (g.n - g.m + len(faces))
     if eg < 0 or eg % 2 != 0:
         raise AssertionError(f"impossible Euler genus {eg} from face tracing")
     return eg
@@ -130,10 +135,13 @@ def edge_signatures(rot: RotationSystem) -> dict[Edge, int]:
     from edges outside T) is peeled from the leaves so that every facial
     walk sums to zero; the ``eg`` leftover edges each carry one distinct bit.
     """
-    g = rot.graph
-    if not _connected(g):
+    if not _connected(rot.graph):
         raise ValueError("edge signatures require a connected graph")
-    faces = trace_faces(rot)
+    return _signatures_of_faces(rot.graph, trace_faces(rot))
+
+
+def _signatures_of_faces(g: Graph, faces: Sequence[Sequence[Dart]]) -> dict[Edge, int]:
+    """:func:`edge_signatures` of a connected graph from its traced faces."""
     eg = 2 - (g.n - g.m + len(faces))
 
     # BFS spanning tree of the primal graph.
@@ -273,9 +281,10 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     cycle.
     """
     g = rot.graph
-    if euler_genus(rot) != 2:
+    faces = trace_faces(rot)  # one trace serves the genus check and the signatures
+    if _genus_of_faces(g, faces) != 2:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
-    sig = edge_signatures(rot)
+    sig = _signatures_of_faces(g, faces)
     edges = list(g.edges())
 
     best: Optional[tuple[int, tuple[int, ...]]] = None

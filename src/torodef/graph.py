@@ -10,6 +10,8 @@ it before returning a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -206,36 +208,53 @@ def girth(g: Graph) -> Optional[int]:
 def degeneracy(g: Graph) -> tuple[int, frozenset[int]]:
     """Degeneracy by min-degree peeling, plus the 6-core.
 
-    Ties in the peeling are broken by smallest vertex index so the result is
-    reproducible.  The returned core is the maximal induced subgraph of
-    minimum degree at least 6 (empty when the degeneracy is below 6).
+    The degeneracy is the largest degree a vertex has when it is peeled.
+    The returned core is the maximal induced subgraph of minimum degree at
+    least 6 (empty when the degeneracy is below 6): a vertex's core number
+    is the largest peel degree up to its own removal (Matula & Beck, JACM
+    30, 1983), so the 6-core is the part of the peel from the first vertex
+    removed at degree 6 or more onward.
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    d = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
+    order, peel_deg = _min_degree_peel(g)
+    core_numbers = list(accumulate(peel_deg, max))
+    core = frozenset(v for v, c in zip(order, core_numbers) if c >= 6)
+    return (core_numbers[-1] if core_numbers else 0), core
 
-    core: set[int] = set()
-    if d >= 6:
-        core = set(range(g.n))
-        cdeg = [g.degree(v) for v in range(g.n)]
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(core):
-                if cdeg[v] < 6:
-                    core.remove(v)
-                    for w in g.adj[v]:
-                        if w in core:
-                            cdeg[w] -= 1
-                    changed = True
-    return d, frozenset(core)
+
+def _min_degree_peel(g: Graph) -> tuple[list[int], list[int]]:
+    """Repeatedly remove a vertex of least remaining degree, smallest index
+    first among ties.
+
+    Returns the removal order and each removed vertex's degree at removal.
+    Reversed, the order is a smallest-last order: every vertex has at most
+    the degeneracy many neighbors before it.  The queue holds one bucket per
+    degree, each a heap of vertex indices with stale entries skipped on
+    pop; the lowest nonempty bucket drops by at most one per removal, so the
+    peel costs O(n + m log n).
+    """
+    deg = [len(a) for a in g.adj]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(g.n):
+        buckets[deg[v]].append(v)  # ascending, so already a heap
+    removed = [False] * g.n
+    order: list[int] = []
+    peel_deg: list[int] = []
+    low = 0
+    while len(order) < g.n:
+        while not buckets[low]:
+            low += 1
+        v = heappop(buckets[low])
+        if removed[v] or deg[v] != low:
+            continue
+        removed[v] = True
+        order.append(v)
+        peel_deg.append(low)
+        for w in g.adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heappush(buckets[deg[w]], w)
+        low = max(low - 1, 0)
+    return order, peel_deg
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from torodef import (DefectVector, InvalidSpec, build_graph,
-                     solve_with_precoloring)
-from torodef.generators import CirculantSpec, GridSpec
+from torodef import (DefectVector, InvalidSpec, RotationSystem, build_graph,
+                     euler_genus, gen_grid, solve_with_precoloring)
+from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
 
 
 def all_valid_grids(max_vertices: int):
@@ -88,6 +88,57 @@ def admits_mono_at_most(g, b: int) -> bool:
         if solve_with_precoloring(h, pre, proper).sat:
             return True
     return False
+
+
+def irregular_torus(seed: int) -> RotationSystem:
+    """A seeded irregular torus embedding: a random shifted grid of 64 to
+    121 vertices after random diagonal flips and vertex deletions.
+
+    A flip takes an edge uv between the triangles u-v-a and v-u-b, with a
+    and b not adjacent, and replaces it by ab.  A deletion is kept only
+    while the graph stays connected with Euler genus 2.  The genus is
+    checked after every move.
+    """
+    rng = random.Random(seed)
+    while True:
+        m, n = rng.randint(8, 11), rng.randint(8, 11)
+        spec = GridSpec(m, n, rng.randint(1, m))
+        if spec.valid:
+            break
+    g, rot = gen_grid(spec)
+    adj = [set(a) for a in g.adj]
+    rows = [list(r) for r in rot.rot]
+
+    def succ(x, y):  # the neighbor after y in x's rotation
+        row = rows[x]
+        return row[(row.index(y) + 1) % len(row)]
+
+    for _ in range(2 * g.n):
+        u = rng.randrange(g.n)
+        v = rng.choice(rows[u])
+        a, b = succ(v, u), succ(u, v)
+        if (succ(a, v) != u or succ(b, u) != v or a == b or b in adj[a]
+                or len(adj[u]) <= 3 or len(adj[v]) <= 3):
+            continue
+        rows[u].remove(v)
+        rows[v].remove(u)
+        rows[a].insert(rows[a].index(v) + 1, b)
+        rows[b].insert(rows[b].index(u) + 1, a)
+        adj[u].discard(v)
+        adj[v].discard(u)
+        adj[a].add(b)
+        adj[b].add(a)
+        edges = [(x, y) for x in range(g.n) for y in adj[x] if x < y]
+        rot = RotationSystem(build_graph(g.n, edges), tuple(tuple(r) for r in rows))
+        assert euler_genus(rot) == 2
+    for _ in range(rng.randint(2, 8)):
+        smaller = _delete_vertex(rot, rng.randrange(rot.graph.n))
+        try:
+            if euler_genus(smaller) == 2:
+                rot = smaller
+        except ValueError:  # the deletion disconnected the graph
+            pass
+    return rot
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 
 from torodef import DefectVector, gen_grid, gen_named, verify_coloring
 from torodef.generators import GridSpec
-from torodef import fileio
+from torodef import constructions, fileio
 from torodef.cli import build_parser, main, parse_family_token
 
 
@@ -178,6 +178,21 @@ def test_solve_recursion_limit_exits_3(tmp_path, capsys):
     # The recursive search runs out of stack on a 1500-vertex cycle: it gave up.
     assert run(["solve", c1500 + ".g", "--defects", "0,0"]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_color_exits_3_when_the_planar_budget_runs_out(tmp_path, capsys, monkeypatch):
+    # The planar heuristic misses on this grid's cut graph; with no nodes for
+    # the exact search the pipeline gives up cleanly.
+    miss, k7 = str(tmp_path / "miss"), str(tmp_path / "k7")
+    run(["gen", "grid:45x1,20", "--output", miss])
+    run(["gen", "k7", "--output", k7])
+    capsys.readouterr()
+    monkeypatch.setattr(constructions, "_PLANAR_NODE_BUDGET", 0)
+    assert run(["color", miss + ".rot", "--construction", "600001"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "Traceback" not in out.out + out.err
+    # Where the heuristic colors on its own, no budget is spent.
+    assert run(["color", k7 + ".rot", "--construction", "600001"]) == 0
 
 
 def test_color_command(tmp_path, capsys):

@@ -149,6 +149,29 @@ def test_degeneracy_known_values():
     assert d == 6 and core == frozenset(range(7))
 
 
+def _degeneracy_by_rescan(g):
+    """Reference: peel a least-degree vertex (smallest index) by full scans,
+    then strip vertices of degree below 6 until none is left."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive, d = set(range(g.n)), 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        alive.remove(v)
+        for w in g.adj[v] & alive:
+            deg[w] -= 1
+    core = set(range(g.n))
+    while any(len(g.adj[v] & core) < 6 for v in core):
+        core = {v for v in core if len(g.adj[v] & core) >= 6}
+    return d, frozenset(core)
+
+
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10 ** 6))
+def test_degeneracy_matches_rescan_reference(n, seed):
+    g = random_connected_graph(random.Random(seed), n)
+    assert degeneracy(g) == _degeneracy_by_rescan(g)
+
+
 def test_six_core_strips_pendant_tree():
     base = gen_named("t11")[0]
     edges = list(base.edges()) + [(0, 11), (11, 12)]
