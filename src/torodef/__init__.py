@@ -9,7 +9,7 @@ from .graph import (Coloring, DefectVector, Graph, VerificationReport, build_gra
                     degeneracy, girth, induced_subgraph, join, verify_coloring)
 from .iso import are_isomorphic
 from .generators import (CirculantSpec, GridSpec, InvalidSpec, classify_6regular,
-                         gen_circulant, gen_grid, gen_named, yehzhu_exceptions)
+                         gen_circulant, gen_grid, gen_named)
 from .embedding import (CutResult, CycleCert, RotationSystem, cut_and_contract,
                         contract_path, edge_signatures, euler_genus, is_contractible,
                         planarity_check, shortest_noncontractible_cycle, shortest_path,

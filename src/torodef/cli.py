@@ -17,7 +17,7 @@ from .embedding import (RotationSystem, euler_genus, shortest_noncontractible_cy
                         trace_faces)
 from .generators import (CirculantSpec, GridSpec, InvalidSpec, gen_circulant,
                          gen_grid, gen_named)
-from .graph import DefectVector, Graph, verify_coloring
+from .graph import Coloring, DefectVector, Graph, verify_coloring
 from .iso import are_isomorphic
 from .solver import INDETERMINATE, SAT, solve
 
@@ -59,12 +59,13 @@ def _load_rotation(path: str) -> RotationSystem:
         return fileio.read_rotation(f)
 
 
-def _emit_certificate(cert: constructions.Certificate, output: Optional[str]) -> None:
+def _emit_certificate(coloring: Coloring, d: DefectVector,
+                      mono_edges: tuple[tuple[int, int], ...], output: Optional[str]) -> None:
     if output:
         with open(output, "w") as f:
-            fileio.write_certificate(cert.coloring, cert.defects, cert.mono_edges, f)
+            fileio.write_certificate(coloring, d, mono_edges, f)
     else:
-        fileio.write_certificate(cert.coloring, cert.defects, cert.mono_edges, sys.stdout)
+        fileio.write_certificate(coloring, d, mono_edges, sys.stdout)
 
 
 def cmd_gen(args) -> int:
@@ -90,11 +91,7 @@ def cmd_solve(args) -> int:
     print(f"nodes {res.nodes}")
     if res.status == SAT:
         report = verify_coloring(g, res.coloring, d)
-        if args.output:
-            with open(args.output, "w") as f:
-                fileio.write_certificate(res.coloring, d, report.all_mono_edges(), f)
-        else:
-            fileio.write_certificate(res.coloring, d, report.all_mono_edges(), sys.stdout)
+        _emit_certificate(res.coloring, d, report.all_mono_edges(), args.output)
         return 0
     return 3 if res.status == INDETERMINATE else 1
 
@@ -103,7 +100,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     with open(args.certificate) as f:
         coloring, d, mono = fileio.read_certificate(f)
-    report = fileio.check_certificate(g, coloring, d)
+    report = verify_coloring(g, coloring, d)
     for c in range(d.k):
         print(f"class {c + 1} maxdeg {report.max_degrees[c]} mono {report.mono_counts[c]}")
     mono_listed = sorted(tuple(sorted(e)) for e in mono) == sorted(report.all_mono_edges())
@@ -142,7 +139,7 @@ def cmd_color(args) -> int:
             cert = op(rot)
     print(f"construction {cert.provenance}")
     print(f"defects {cert.defects}")
-    _emit_certificate(cert, args.output)
+    _emit_certificate(cert.coloring, cert.defects, cert.mono_edges, args.output)
     return 0
 
 

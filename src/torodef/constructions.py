@@ -180,11 +180,6 @@ def color_0004(rot: RotationSystem) -> Certificate:
     for gv in defect_class:
         coloring[gv] = star_color
 
-    deg_in_class = max(
-        (sum(1 for w in rot.graph.adj[v] if w in defect_class) for v in defect_class),
-        default=0)
-    if deg_in_class > 4:
-        raise AssertionError("defect class of color_0004 exceeds induced degree 4")
     d = DefectVector.of(0, 0, 0, 4)
     # Swap classes so the defect-4 budget sits on the contracted color.
     perm = {c: c for c in (1, 2, 3, 4)}
@@ -352,7 +347,7 @@ def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
         return _by_solve(g, DefectVector.of(0, 0, 0, 1), "6reg-small-exception")
     # The grid is a relabeling of an exception circulant: color the
     # circulant and carry the coloring through the classifier's witness.
-    inner = _color_circulant(gen_circulant(cls.reduced), classify_6regular(cls.reduced))
+    inner = _color_circulant(gen_circulant(cls.reduced), cls)
     coloring = [0] * g.n
     for v, c in enumerate(inner.coloring):
         coloring[cls.witness[v]] = c
@@ -362,7 +357,7 @@ def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
 
 def _color_circulant(g: Graph, cls: Classification) -> Certificate:
     n = g.n
-    if cls.case in ("4", "3->4", "->4"):
+    if cls.case == "4":
         # The two genuine (0,0,0,1)-exceptions.
         if n == 7:
             return _by_solve(g, DefectVector.of(0, 0, 0, 3), "6reg-k7")

@@ -228,8 +228,7 @@ def walk_signature(sig: dict[Edge, int], vertices: Sequence[int]) -> int:
     return total
 
 
-def make_cycle_cert(rot: RotationSystem, vertices: Sequence[int],
-                    sig: Optional[dict[Edge, int]] = None) -> CycleCert:
+def make_cycle_cert(rot: RotationSystem, vertices: Sequence[int]) -> CycleCert:
     """Wrap a vertex sequence as a cycle certificate, computing its signature."""
     vs = tuple(vertices)
     if len(vs) < 3 or len(set(vs)) != len(vs):
@@ -237,9 +236,7 @@ def make_cycle_cert(rot: RotationSystem, vertices: Sequence[int],
     for i in range(len(vs)):
         if vs[(i + 1) % len(vs)] not in rot.graph.adj[vs[i]]:
             raise ValueError(f"vertices {vs[i]} and {vs[(i + 1) % len(vs)]} not adjacent")
-    if sig is None:
-        sig = edge_signatures(rot)
-    return CycleCert(vs, walk_signature(sig, vs))
+    return CycleCert(vs, walk_signature(edge_signatures(rot), vs))
 
 
 def is_contractible(rot: RotationSystem, c: CycleCert) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TextIO
 
 from .embedding import RotationSystem
-from .graph import Coloring, DefectVector, Graph, build_graph, verify_coloring
+from .graph import Coloring, DefectVector, Graph, build_graph
 
 
 class FormatError(ValueError):
@@ -145,10 +145,3 @@ def read_certificate(f: TextIO) -> tuple[Coloring, DefectVector, tuple[tuple[int
     if mono_count is None or mono_count != len(mono):
         raise FormatError("mono count does not match listed monochromatic edges")
     return tuple(colors[v] for v in range(n)), d, tuple(mono)
-
-
-def check_certificate(g: Graph, coloring: Coloring, d: DefectVector):
-    """Re-verify a loaded certificate against a graph."""
-    if len(coloring) != g.n:
-        raise FormatError(f"certificate colors {len(coloring)} vertices, graph has {g.n}")
-    return verify_coloring(g, coloring, d)

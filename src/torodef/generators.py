@@ -224,41 +224,6 @@ SPORADIC_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class ExceptionCase:
-    """One item of the Yeh-Zhu exception list.
-
-    Finite items carry their members explicitly; parameterized families are
-    decided by :meth:`contains`.
-    """
-
-    case_id: int
-    description: str
-    grids: tuple[GridSpec, ...] = ()
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def contains(self, spec: Union[GridSpec, CirculantSpec]) -> bool:
-        if self.case_id == 1:
-            return isinstance(spec, GridSpec) and spec in self.grids
-        if self.case_id == 2:
-            return (isinstance(spec, GridSpec) and spec.n == 2 and spec.k == 1
-                    and spec.m % 2 == 1)
-        if not isinstance(spec, CirculantSpec):
-            return False
-        r = _offsets_r_form(spec.offsets)
-        if r is None:
-            return False
-        n = spec.n
-        if self.case_id == 3:
-            return (r != 2 and n in (2 * r + 2, 2 * r + 3, 3 * r + 1, 3 * r + 2)
-                    and n % 4 != 0)
-        if self.case_id == 4:
-            return r == 2 and n % 4 != 0
-        if self.case_id == 5:
-            return (r, n) in self.pairs
-        return False
-
-
 def _offsets_r_form(offsets: frozenset[int]) -> Optional[int]:
     """Return r when the offset set is {1, r, r+1}, else None ({1,2,3} -> 2)."""
     offs = sorted(offsets)
@@ -267,31 +232,25 @@ def _offsets_r_form(offsets: frozenset[int]) -> Optional[int]:
     return None
 
 
-def yehzhu_exceptions() -> tuple[ExceptionCase, ...]:
-    """The exact exception list of the 4-colorability classification."""
-    return (
-        ExceptionCase(1, "six small shifted grids", grids=SMALL_EXCEPTION_GRIDS),
-        ExceptionCase(2, "G[m x 2, 1] with m odd (not simple 6-regular)"),
-        ExceptionCase(3, "G_n[1,r,r+1], n in {2r+2, 2r+3, 3r+1, 3r+2}, 4 does not divide n"),
-        ExceptionCase(4, "G_n[1,2,3], 4 does not divide n"),
-        ExceptionCase(5, "sporadic G_n[1,r,r+1] pairs", pairs=SPORADIC_PAIRS),
-    )
-
-
 @dataclass(frozen=True)
 class Classification:
     """Verdict for one 6-regular spec: either 4-colorable or an exception.
 
-    For a circulant in a listed family, ``reduced`` is its family form
-    G_n[1,2,3] or G_n[1,r,r+1] and ``unit`` the p with p * offsets equal to
-    the reduced offsets (1 when the spec already has that form).  For a
-    multi-column grid matched to a listed graph by isomorphism,
+    ``case`` names the item of the Yeh-Zhu list the spec falls in: "1" for a
+    graph of the six small grids, "4" for a unit image of G_n[1,2,3] (an
+    exception exactly when 4 does not divide n, so a "4" verdict may be
+    4-colorable) and "5" for a unit image of a sporadic G_n[1,r,r+1]; it is
+    None for every other 4-colorable spec.  In cases "4" and "5",
+    ``reduced`` is the listed circulant G_n[1,2,3] or G_n[1,r,r+1] and
+    ``unit`` the p with p * offsets equal to the reduced offsets.  A
+    multi-column grid is matched to a listed graph by isomorphism:
     ``witness[v]`` is the grid vertex that vertex v of the listed graph maps
-    to, and ``reduced`` names that graph when it is a circulant.
+    to, and when that graph is a circulant, ``reduced`` is it and ``unit``
+    is 1.
     """
 
     four_colorable: bool
-    case: Optional[str] = None          # "1", "4", "3->4", "5", ...
+    case: Optional[str] = None          # "1", "4" or "5"
     reduced: Optional[CirculantSpec] = None
     unit: Optional[int] = None
     witness: Optional[tuple[int, ...]] = None
@@ -325,49 +284,29 @@ def _validate_6regular(spec: Union[GridSpec, CirculantSpec]) -> Graph:
     return g
 
 
-def classify_6regular(spec: Union[GridSpec, CirculantSpec],
-                      cross_check: bool = False) -> Classification:
-    """Place a valid simple 6-regular spec in the 4-colorability landscape.
-
-    Grid specs match the finite small-grid list directly; single-column
-    grids are rewritten as circulants.  Circulants are brought to the form
-    G_n[1,r,r+1] by unit multiplication where possible; the r >= 3 families
-    with n in {2r+3, 3r+1, 3r+2} reduce further to G_n[1,2,3] (reported as
-    case "3->4").  With ``cross_check`` and order <= 30, the verdict is
-    compared against an exact 4-colorability search.
-    """
-    g = _validate_6regular(spec)
-    result = _classify(spec, g)
-    if cross_check and g.n <= 30:
-        from .solver import solve
-        from .graph import DefectVector
-        res = solve(g, DefectVector.of(0, 0, 0, 0))
-        if (res.status == "SAT") != result.four_colorable:
-            raise AssertionError(f"classification of {spec.token()} contradicts exact search")
-    return result
-
-
 def _exception_graphs(order: int):
-    """All graphs of the given order on the exception list, with provenance.
+    """The exception graphs of the given order, one circulant per unit
+    class, with provenance.
 
-    Yields (graph, case id, circulant spec or None).  Used to recognize
-    multi-column grid specs whose graphs coincide with a listed exception
-    under relabeling.
+    Yields (graph, case, circulant spec or None): the small exception grids
+    of that order, then G_n[1,2,3] when 4 does not divide n, then the
+    sporadic pairs in ascending r, skipping a pair whose circulant is a unit
+    image of one already yielded (the two are isomorphic).  Every circulant
+    that :func:`classify_6regular` rules an exception is a unit image of one
+    yielded here.  Used to recognize multi-column grid specs whose
+    graphs coincide with a listed exception under relabeling.
     """
     for gspec in SMALL_EXCEPTION_GRIDS:
         if gspec.m * gspec.n == order:
             yield gen_grid(gspec)[0], "1", None
-    cases = [c for c in yehzhu_exceptions() if c.case_id in (3, 4, 5)]
-    for r in range(2, order // 2):
-        try:
-            cspec = CirculantSpec(order, frozenset({1, r, r + 1}))
-        except InvalidSpec:
-            continue
-        if cspec.half_offset or len(cspec.offsets) != 3:
-            continue
-        matching = [c for c in cases if c.contains(cspec)]
-        if matching:
-            yield gen_circulant(cspec), str(matching[0].case_id), cspec
+    listed = [(2, "4")] if order % 4 else []
+    listed += [(r, "5") for r, n in sorted(SPORADIC_PAIRS) if n == order]
+    yielded: set[int] = set()
+    for r, case in listed:
+        cspec = CirculantSpec(order, frozenset({1, r, r + 1}))
+        if yielded.isdisjoint(r1 for _, r1 in _r_forms(cspec)):
+            yielded.add(r)
+            yield gen_circulant(cspec), case, cspec
 
 
 def _classify_grid_by_isomorphism(g: Graph) -> Classification:
@@ -379,20 +318,32 @@ def _classify_grid_by_isomorphism(g: Graph) -> Classification:
         ok, witness = are_isomorphic(candidate, g)
         if ok:
             return Classification(False, case=case, reduced=cspec,
+                                  unit=None if cspec is None else 1,
                                   witness=tuple(witness[v] for v in range(g.n)))
     return Classification(True)
 
 
-def _classify(spec: Union[GridSpec, CirculantSpec], g: Graph) -> Classification:
+def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
+    """Place a valid simple 6-regular spec in the 4-colorability landscape.
+
+    This is the one membership decision for the Yeh-Zhu exception list.  A
+    grid spec on the small-grid list is case "1"; a single-column grid is
+    rewritten as the circulant on the same labels; any other multi-column
+    grid is matched by isomorphism against :func:`_exception_graphs`.  A
+    circulant is brought to a form G_n[1,r,r+1] by unit multiplication:
+    it is case "4" when some unit reaches G_n[1,2,3] (an exception unless
+    4 divides n), else case "5" when some unit reaches a sporadic pair, else
+    4-colorable.  See :class:`Classification` for the fields.
+    """
+    g = _validate_6regular(spec)
     if isinstance(spec, GridSpec):
         if spec in SMALL_EXCEPTION_GRIDS:
             return Classification(False, case="1")
-        if spec.n == 1:
-            return _classify(grid_as_circulant(spec), g)
-        return _classify_grid_by_isomorphism(g)
+        if spec.n > 1:
+            return _classify_grid_by_isomorphism(g)
+        spec = grid_as_circulant(spec)
 
     n = spec.n
-    direct_r = _offsets_r_form(spec.offsets)
     forms = _r_forms(spec)
     if not forms:
         raise InvalidSpec(
@@ -401,11 +352,7 @@ def _classify(spec: Union[GridSpec, CirculantSpec], g: Graph) -> Classification:
 
     for p, r in forms:
         if r == 2:
-            if direct_r == 2:
-                case = "4"
-            else:
-                case = "3->4" if direct_r is not None else "->4"
-            return Classification(n % 4 == 0, case=case,
+            return Classification(n % 4 == 0, case="4",
                                   reduced=CirculantSpec(n, frozenset({1, 2, 3})), unit=p)
 
     for p, r in forms:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from torodef import (DefectVector, InvalidSpec, RotationSystem, build_graph,
-                     euler_genus, gen_grid, solve_with_precoloring)
+from torodef import (SAT, DefectVector, InvalidSpec, RotationSystem, build_graph,
+                     classify_6regular, euler_genus, gen_circulant, gen_grid, solve,
+                     solve_with_precoloring)
 from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
 
 
@@ -37,6 +38,17 @@ def unit_family_circulants(max_n: int):
                 if len(offs) == 3 and 2 * max(offs) != n:
                     pool.add((n, tuple(sorted(offs))))
     return [CirculantSpec(n, frozenset(offs)) for n, offs in sorted(pool)]
+
+
+def classify_against_search(spec):
+    """``classify_6regular``'s verdict, checked against an exact search for a
+    proper 4-coloring of the spec's graph (desk scale: order 30 or less)."""
+    cls = classify_6regular(spec)
+    g = gen_grid(spec)[0] if isinstance(spec, GridSpec) else gen_circulant(spec)
+    assert g.n <= 30, spec.token()
+    found = solve(g, DefectVector.of(0, 0, 0, 0)).status == SAT
+    assert found == cls.four_colorable, f"classification of {spec.token()} contradicts exact search"
+    return cls
 
 
 def random_connected_graph(rng: random.Random, n: int):

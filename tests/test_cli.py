@@ -78,10 +78,15 @@ def test_comments_and_blank_lines_are_ignored():
     assert (g.n, g.m) == (3, 3)
 
 
-def test_check_certificate_vertex_count_mismatch():
-    g = gen_named("c5")[0]
-    with pytest.raises(fileio.FormatError):
-        fileio.check_certificate(g, (1, 2), DefectVector.of(0, 0))
+def test_verify_vertex_count_mismatch_exits_2(tmp_path, capsys):
+    c5, cert = str(tmp_path / "c5"), str(tmp_path / "cert")
+    run(["gen", "c5", "--output", c5])
+    with open(cert, "w") as f:
+        fileio.write_certificate((1, 2), DefectVector.of(0, 0), (), f)
+    capsys.readouterr()
+    assert run(["verify", c5 + ".g", cert]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "valid" not in out.out
 
 
 # --- family tokens ----------------------------------------------------------

@@ -274,6 +274,21 @@ def test_color_6regular_dispatch():
     _check_6reg(GridSpec(7, 2, 4), "0,0,0,1")                      # G_14[1,2,3]
 
 
+def test_color_6regular_classifies_a_grid_once(monkeypatch):
+    # The grid's verdict carries the circulant it matched and its unit.
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return classify_6regular(spec)
+
+    monkeypatch.setattr(constructions, "classify_6regular", counting)
+    for spec in (GridSpec(9, 2, 6), GridSpec(6, 3, 3)):
+        calls.clear()
+        _check_6reg(spec, "0,0,0,1")
+        assert calls == [spec]
+
+
 def test_color_6regular_over_the_unit_family():
     specs = unit_family_circulants(30)
     assert len(specs) == 471

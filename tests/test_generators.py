@@ -3,10 +3,10 @@ import pytest
 
 from torodef import (CirculantSpec, DefectVector, GridSpec, InvalidSpec,
                      are_isomorphic, classify_6regular, gen_circulant, gen_grid,
-                     gen_named, solve, yehzhu_exceptions)
-from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS,
-                                canonical_offset, grid_as_circulant, unit_image)
-from .conftest import all_valid_grids
+                     gen_named, solve)
+from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, _exception_graphs,
+                                _r_forms, canonical_offset, grid_as_circulant, unit_image)
+from .conftest import all_valid_grids, classify_against_search
 
 
 # --- circulants -------------------------------------------------------------
@@ -122,23 +122,45 @@ def test_hajos_h7_chromatic_number_four():
 # --- exception list and classifier -----------------------------------------
 
 def test_exception_membership_by_case():
-    cases = {c.case_id: c for c in yehzhu_exceptions()}
-    assert all(cases[1].contains(s) for s in SMALL_EXCEPTION_GRIDS)
-    assert not cases[1].contains(GridSpec(4, 4, 1))
-    assert cases[2].contains(GridSpec(5, 2, 1))
-    assert not cases[2].contains(GridSpec(4, 2, 1))
-    assert cases[3].contains(CirculantSpec(9, frozenset({1, 3, 4})))      # n = 2r+3
-    assert cases[3].contains(CirculantSpec(10, frozenset({1, 3, 4})))     # n = 3r+1
-    assert not cases[3].contains(CirculantSpec(12, frozenset({1, 4, 5})))  # 4 | n
-    assert cases[4].contains(CirculantSpec(13, frozenset({1, 2, 3})))
-    assert not cases[4].contains(CirculantSpec(12, frozenset({1, 2, 3})))
-    assert cases[5].contains(CirculantSpec(13, frozenset({1, 3, 4})))
-    assert not cases[5].contains(CirculantSpec(14, frozenset({1, 3, 4})))
+    def verdict(spec):
+        cls = classify_6regular(spec)
+        return cls.four_colorable, cls.case
+
+    assert all(verdict(s) == (False, "1") for s in SMALL_EXCEPTION_GRIDS)
+    assert verdict(GridSpec(4, 4, 1)) == (True, None)
+    # Case 2, G[m x 2, 1] with m odd, is not simple 6-regular: the classifier
+    # rejects it as it rejects every grid of that shape.
+    for spec in (GridSpec(5, 2, 1), GridSpec(4, 2, 1)):
+        with pytest.raises(InvalidSpec):
+            classify_6regular(spec)
+    # G_n[1,r,r+1] with n in {2r+3, 3r+1, 3r+2} is a unit image of
+    # G_n[1,2,3], so it is case 4.
+    assert verdict(CirculantSpec(9, frozenset({1, 3, 4}))) == (False, "4")     # n = 2r+3
+    assert verdict(CirculantSpec(10, frozenset({1, 3, 4}))) == (False, "4")    # n = 3r+1
+    assert verdict(CirculantSpec(12, frozenset({1, 4, 5}))) == (True, None)    # 4 | n
+    assert verdict(CirculantSpec(13, frozenset({1, 2, 3}))) == (False, "4")
+    assert verdict(CirculantSpec(12, frozenset({1, 2, 3}))) == (True, "4")
+    assert verdict(CirculantSpec(13, frozenset({1, 3, 4}))) == (False, "5")
+    assert verdict(CirculantSpec(14, frozenset({1, 3, 4}))) == (True, None)
+
+
+def test_exception_graphs_yield_one_circulant_per_unit_class():
+    for n in range(7, 50):  # a simple 6-regular graph has at least 7 vertices
+        circulants = [c for _, _, c in _exception_graphs(n) if c is not None]
+        assert (CirculantSpec(n, frozenset({1, 2, 3})) in circulants) == (n % 4 != 0), n
+        rs = [sorted(c.offsets)[1] for c in circulants]
+        for i, c in enumerate(circulants):
+            assert not {r for _, r in _r_forms(c)} & set(rs[:i]), c.token()
+        # Every sporadic pair of order n is a unit image of a yielded circulant.
+        for r, m in SPORADIC_PAIRS:
+            if m == n:
+                spec = CirculantSpec(n, frozenset({1, r, r + 1}))
+                assert {r1 for _, r1 in _r_forms(spec)} & set(rs), spec.token()
 
 
 def test_classifier_matches_exact_search_on_grids():
     for spec in all_valid_grids(18):
-        cls = classify_6regular(spec, cross_check=True)  # raises on mismatch
+        cls = classify_against_search(spec)
         if spec in SMALL_EXCEPTION_GRIDS:
             assert not cls.four_colorable and cls.case == "1"
 
@@ -152,7 +174,7 @@ def test_classifier_matches_exact_search_on_circulant_families():
             g = gen_circulant(spec)
             if any(g.degree(v) != 6 for v in range(n)):
                 continue
-            classify_6regular(spec, cross_check=True)
+            classify_against_search(spec)
 
 
 def test_classifier_known_verdicts():
@@ -162,7 +184,7 @@ def test_classifier_known_verdicts():
     assert not v.four_colorable and v.case == "5"
     # A disguised sporadic member, reached only through a unit image.
     hidden = CirculantSpec(13, unit_image(frozenset({1, 3, 4}), 13, 2))
-    w = classify_6regular(hidden, cross_check=True)
+    w = classify_against_search(hidden)
     assert not w.four_colorable
 
 
@@ -178,4 +200,4 @@ def test_sporadic_pairs_are_all_genuinely_not_4_colorable():
         if n > 20:
             continue  # larger ones are covered by pattern tests
         spec = CirculantSpec(n, frozenset({1, r, r + 1}))
-        classify_6regular(spec, cross_check=True)
+        classify_against_search(spec)

@@ -1,11 +1,13 @@
-"""Every name a package module imports is used in that module, and every
-private module-level function is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+private module-level function is used somewhere in the package, and every
+defaulted parameter of a package function is set by some call."""
 import ast
 from pathlib import Path
 
 import torodef
 
 PACKAGE = Path(torodef.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -62,3 +64,51 @@ def test_dead_private_function_detector():
 def test_package_has_no_dead_private_functions():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _dead_private_functions(sources) == []
+
+
+def _unset_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions in ``package`` that no call in
+    ``callers`` sets, by keyword or by position.  Calls are matched by the
+    function's name; a method's positions count from after ``self``."""
+    defaults = []
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(a.defaults)
+            for i in range(first, len(positional)):
+                defaults.append((node.name, positional[i].arg, i - skip, f"{module}:{node.lineno}"))
+            defaults += [(node.name, arg.arg, None, f"{module}:{node.lineno}")
+                         for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    keywords, positions = set(), {}
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            keywords.update((name, kw.arg) for kw in call.keywords)
+            starred = any(isinstance(x, ast.Starred) for x in call.args)
+            reach = float("inf") if starred else len(call.args)
+            positions[name] = max(positions.get(name, 0), reach)
+    return sorted(f"{fn}({param}) ({where})" for fn, param, index, where in defaults
+                  if (fn, param) not in keywords
+                  and (index is None or positions.get(fn, 0) <= index))
+
+
+def test_unset_default_detector():
+    package = {"m.py": "def f(a, b=1, *, c=2, d=3):\n    pass\n\n\n"
+                       "class K:\n    def g(self, x=0, y=0):\n        pass\n"}
+    callers = ["f(1, 2, c=5)\n", "K().g(7)\n"]
+    assert _unset_defaults(package, callers) == ["f(d) (m.py:1)", "g(y) (m.py:6)"]
+    assert _unset_defaults(package, ["f(*xs, d=1)\nK().g(x=1, y=2)\n"]) == ["f(c) (m.py:1)"]
+
+
+def test_every_default_is_set_by_some_call():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [path.read_text() for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(callers) > len(package)
+    assert _unset_defaults(package, callers) == []
