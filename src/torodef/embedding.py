@@ -6,7 +6,8 @@ computes the Euler genus, assigns Z2-homology signatures to edges through a
 tree-cotree decomposition, finds shortest non-contractible cycles, and
 implements the two surgeries the coloring pipelines need: cutting the torus
 along a non-contractible cycle and contracting both copies to single
-vertices, and contracting a path into one vertex.
+vertices, with a genus-0 rotation system that certifies the result planar,
+and contracting a path into one vertex.
 
 Homology signatures are bitmasks over the ``eg`` leftover edges of the
 tree-cotree decomposition; a cycle on the torus is contractible exactly
@@ -337,14 +338,20 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
 class CutResult:
     """Planar graph obtained by cutting along a cycle and contracting both copies.
 
-    ``orig`` maps each vertex of ``h`` back to the original graph; the two
-    contracted vertices ``u`` and ``v`` map to ``None``.
+    ``rot`` is a genus-0 rotation system of the cut graph ``h``: the
+    certificate of its planarity.  ``orig`` maps each vertex of ``h`` back to
+    the original graph; the two contracted vertices ``u`` and ``v`` map to
+    ``None``.
     """
 
-    h: Graph
+    rot: RotationSystem
     u: int
     v: int
     orig: tuple[Optional[int], ...]
+
+    @property
+    def h(self) -> Graph:
+        return self.rot.graph
 
 
 def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
@@ -354,8 +361,16 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
     At each cycle vertex the rotation splits the remaining darts into two
     arcs (between the darts toward its cycle successor and predecessor);
     arc membership decides which contracted vertex a neighbor attaches to.
-    ``u`` is the side containing the smallest non-cycle neighbor.  The
-    result is deduplicated, and its planarity is asserted.
+    ``u`` is the side containing the smallest non-cycle neighbor.
+
+    The cut graph comes with its rotation system, which certifies its
+    planarity by Euler genus 0.  A non-cycle vertex keeps its cyclic order,
+    with each cycle neighbor replaced by the contracted vertex of that
+    edge's side.  The side left of the cycle's direction (the arc from the
+    successor counterclockwise to the predecessor) lists its arcs in reverse
+    cycle order, the other side in forward order.  Of parallel copies, the
+    one at the earliest cycle vertex is kept at both ends.  The cycle must be
+    induced and non-contractible (``ValueError`` otherwise).
     """
     g = rot.graph
     if euler_genus(rot) != 2:
@@ -366,49 +381,53 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
     vs = c.vertices
     k = len(vs)
     cyc = set(vs)
-    others = sorted(v for v in range(g.n) if v not in cyc)
-
-    if not others:
-        # Whole graph is the cycle: both contracted copies, one shared edge.
-        h = build_graph(2, [(0, 1)])
-        return CutResult(h, 0, 1, (None, None))
-
+    if len(cyc) != k or any(g.adj[ci] & cyc != {vs[(i + 1) % k], vs[i - 1]}
+                            for i, ci in enumerate(vs)):
+        raise ValueError("can only cut along an induced cycle")
+    others = [v for v in range(g.n) if v not in cyc]
     index = {v: i for i, v in enumerate(others)}
-    u_idx, v_idx = len(others), len(others) + 1
 
-    side_a: list[int] = []  # non-cycle neighbors on the "A" side, per dart
-    side_b: list[int] = []
+    arcs_a, arcs_b = [], []  # per cycle vertex, its non-cycle neighbors on each side
     for i, ci in enumerate(vs):
-        nxt, prv = vs[(i + 1) % k], vs[(i - 1) % k]
         ring = rot.rot[ci]
         deg = len(ring)
-        p_nxt, p_prv = ring.index(nxt), ring.index(prv)
-        j = (p_nxt + 1) % deg
-        while j != p_prv:
-            side_a.append(ring[j])
-            j = (j + 1) % deg
-        j = (p_prv + 1) % deg
-        while j != p_nxt:
-            side_b.append(ring[j])
-            j = (j + 1) % deg
+        p_nxt, p_prv = ring.index(vs[(i + 1) % k]), ring.index(vs[i - 1])
+        twice = ring + ring
+        arcs_a.append(twice[p_nxt + 1:p_nxt + (p_prv - p_nxt) % deg])
+        arcs_b.append(twice[p_prv + 1:p_prv + (p_nxt - p_prv) % deg])
 
-    a_min = min(side_a, default=g.n)
-    b_min = min(side_b, default=g.n)
-    u_side, v_side = (side_a, side_b) if a_min <= b_min else (side_b, side_a)
+    a_min = min((w for arc in arcs_a for w in arc), default=g.n)
+    b_min = min((w for arc in arcs_b for w in arc), default=g.n)
+    u_idx, v_idx = len(others), len(others) + 1
+    a_idx, b_idx = (u_idx, v_idx) if a_min <= b_min else (v_idx, u_idx)
 
-    edges: set[Edge] = set()
-    for x, y in g.edges():
-        if x not in cyc and y not in cyc:
-            edges.add(_edge(index[x], index[y]))
-    for w in u_side:
-        edges.add(_edge(u_idx, index[w]))
-    for w in v_side:
-        edges.add(_edge(v_idx, index[w]))
+    side: dict[Dart, int] = {}  # (cycle vertex, neighbor) -> contracted vertex
+    keep: dict[tuple[int, int], int] = {}  # (neighbor, contracted vertex) -> cycle vertex
+    for x, arcs in ((a_idx, arcs_a), (b_idx, arcs_b)):
+        for ci, arc in zip(vs, arcs):
+            for w in arc:
+                side[(ci, w)] = x
+                keep.setdefault((w, x), ci)
 
-    h = build_graph(len(others) + 2, sorted(edges))
-    if not planarity_check(h):
-        raise AssertionError("cut-and-contract produced a non-planar graph")
-    return CutResult(h, u_idx, v_idx, tuple(others) + (None, None))
+    rows = []
+    for w in others:
+        row = []
+        for y in rot.rot[w]:
+            if y not in cyc:
+                row.append(index[y])
+            elif keep[(w, side[(y, w)])] == y:
+                row.append(side[(y, w)])
+        rows.append(tuple(row))
+    row_a = tuple(index[w] for i in reversed(range(k)) for w in arcs_a[i]
+                  if keep[(w, a_idx)] == vs[i])
+    row_b = tuple(index[w] for i in range(k) for w in arcs_b[i] if keep[(w, b_idx)] == vs[i])
+    rows += [row_a, row_b] if a_idx == u_idx else [row_b, row_a]
+
+    h = build_graph(len(rows), [(a, b) for a, row in enumerate(rows) for b in row if a < b])
+    cut = RotationSystem(h, tuple(rows))
+    if euler_genus(cut) != 0:
+        raise AssertionError("cut-and-contract produced a rotation of nonzero genus")
+    return CutResult(cut, u_idx, v_idx, tuple(others) + (None, None))
 
 
 def shortest_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -461,7 +480,12 @@ def contract_path(g: Graph, p: Sequence[int]) -> tuple[Graph, int, tuple[Optiona
 
 
 def planarity_check(g: Graph) -> bool:
-    """Sound-and-complete planarity test (left-right algorithm via networkx)."""
+    """Sound-and-complete planarity test (left-right algorithm via networkx).
+
+    An independent check: the coloring pipelines do not call it, since
+    :func:`cut_and_contract` certifies the planarity of its cut graph by a
+    genus-0 rotation system.
+    """
     if g.m > max(0, 3 * g.n - 6):
         return False
     nxg = nx.Graph()

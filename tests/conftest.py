@@ -1,12 +1,15 @@
 """Shared helpers for the test suite."""
+import functools
 import math
 import random
 
 import pytest
 
 from torodef import (SAT, DefectVector, InvalidSpec, RotationSystem, build_graph,
-                     classify_6regular, euler_genus, gen_circulant, gen_grid, solve,
-                     solve_with_precoloring)
+                     classify_6regular, euler_genus, gen_circulant, gen_grid,
+                     planarity_check, solve, solve_with_precoloring)
+from torodef.embedding import (contract_path, cut_and_contract,
+                               shortest_noncontractible_cycle, shortest_path)
 from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
 
 
@@ -102,6 +105,40 @@ def admits_mono_at_most(g, b: int) -> bool:
     return False
 
 
+def cut_observations(rot: RotationSystem) -> list:
+    """The shape of the shortest non-contractible cycle and the planarity of
+    the cut, checked on one torus embedding; returns the checks that failed.
+
+    The cycle must be induced with at most 3 neighbors of any other vertex on
+    it.  The cut's rotation must have Euler genus 0, and both the cut graph
+    and the cut graph with a shortest u-v path contracted must pass the
+    independent planarity test.
+    """
+    g = rot.graph
+    cyc = shortest_noncontractible_cycle(rot)
+    on_cycle = set(cyc.vertices)
+    failures = []
+    # Induced: consecutive cycle vertices adjacent, no chords.
+    for i, u in enumerate(cyc.vertices):
+        if not g.has_edge(u, cyc.vertices[(i + 1) % cyc.length]):
+            failures.append(("cycle edge missing", u))
+        if sum(1 for w in g.adj[u] if w in on_cycle) != 2:
+            failures.append(("cycle not induced at", u))
+    for v in range(g.n):
+        if v not in on_cycle and sum(1 for w in g.adj[v] if w in on_cycle) > 3:
+            failures.append(("vertex with >3 cycle neighbors", v))
+    cut = cut_and_contract(rot, cyc)
+    if euler_genus(cut.rot) != 0:
+        failures.append(("cut rotation not of genus 0",))
+    if not planarity_check(cut.h):
+        failures.append(("cut graph not planar",))
+    g2, _, _ = contract_path(cut.h, shortest_path(cut.h, cut.u, cut.v))
+    if not planarity_check(g2):
+        failures.append(("contracted graph not planar",))
+    return failures
+
+
+@functools.cache
 def irregular_torus(seed: int) -> RotationSystem:
     """A seeded irregular torus embedding: a random shifted grid of 64 to
     121 vertices after random diagonal flips and vertex deletions.
@@ -109,7 +146,8 @@ def irregular_torus(seed: int) -> RotationSystem:
     A flip takes an edge uv between the triangles u-v-a and v-u-b, with a
     and b not adjacent, and replaces it by ab.  A deletion is kept only
     while the graph stays connected with Euler genus 2.  The genus is
-    checked after every move.
+    checked after every move.  The result is immutable, so it is built once
+    per seed and shared between tests.
     """
     rng = random.Random(seed)
     while True:

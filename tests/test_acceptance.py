@@ -21,17 +21,15 @@ import pytest
 
 from torodef import (CirculantSpec, DefectVector, GridSpec, build_graph,
                      enumerate_oracle, gen_circulant, gen_grid, gen_named,
-                     are_isomorphic, planarity_check, solve, verify_coloring)
+                     are_isomorphic, solve, verify_coloring)
 from torodef.constructions import (apply_pattern, color_0004, color_00002,
                                    color_600001, pattern_circ123,
                                    pattern_exception)
-from torodef.embedding import (cut_and_contract, contract_path,
-                               shortest_noncontractible_cycle, shortest_path,
-                               trace_faces, euler_genus)
+from torodef.embedding import trace_faces, euler_genus
 from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS,
                                 grid_as_circulant, unit_image)
 from torodef.cli import main as cli_main
-from .conftest import (admits_mono_at_most, all_valid_grids,
+from .conftest import (admits_mono_at_most, all_valid_grids, cut_observations,
                        random_connected_graph)
 
 
@@ -162,29 +160,7 @@ def test_acceptance_4_pipeline_suite(corpus):
 def test_acceptance_5_observation_suite(corpus):
     failures = []
     for token, rot in corpus:
-        g = rot.graph
-        cyc = shortest_noncontractible_cycle(rot)
-        on_cycle = set(cyc.vertices)
-        # Induced: consecutive cycle vertices adjacent, no chords.
-        for i, u in enumerate(cyc.vertices):
-            nxt = cyc.vertices[(i + 1) % cyc.length]
-            if not g.has_edge(u, nxt):
-                failures.append((token, "cycle edge missing"))
-            chords = sum(1 for w in g.adj[u] if w in on_cycle)
-            if chords != 2:
-                failures.append((token, "cycle not induced at", u))
-        for v in range(g.n):
-            if v in on_cycle:
-                continue
-            if sum(1 for w in g.adj[v] if w in on_cycle) > 3:
-                failures.append((token, "vertex with >3 cycle neighbors", v))
-        cut = cut_and_contract(rot, cyc)
-        if not planarity_check(cut.h):
-            failures.append((token, "cut graph not planar"))
-        p = shortest_path(cut.h, cut.u, cut.v)
-        g2, _, _ = contract_path(cut.h, p)
-        if not planarity_check(g2):
-            failures.append((token, "contracted graph not planar"))
+        failures += [(token, *f) for f in cut_observations(rot)]
     _report(5, "cycle shape observations and planarity after cutting", failures)
 
 

@@ -10,7 +10,7 @@ from torodef import (CirculantSpec, DefectVector, GridSpec, build_graph,
                      classify_6regular, cut_and_contract, gen_circulant, gen_grid,
                      gen_named, induced_subgraph, shortest_noncontractible_cycle, solve,
                      verify_coloring)
-from torodef import constructions
+from torodef import constructions, embedding
 from torodef.constructions import (PipelineError, _four_color_planar, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
                                    color_6regular, color_0003_high_min_degree,
@@ -161,6 +161,19 @@ def test_pipelines_on_irregular_tori():
             cert = op(rot)
             assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
     assert time.perf_counter() - t0 < 20
+
+
+def test_pipelines_certify_planarity_without_networkx(monkeypatch):
+    """The cut proves its planarity by its own genus-0 rotation; the
+    networkx test stays an independent check that the pipelines never call."""
+    def refuse(g):
+        raise AssertionError("planarity_check called on the pipeline path")
+
+    monkeypatch.setattr(embedding, "planarity_check", refuse)
+    for rot in (gen_named("k7")[1], gen_named("t11")[1], irregular_torus(116)):
+        for op in PIPELINES:
+            cert = op(rot)
+            assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
 
 
 def test_0122_split():

@@ -1,4 +1,6 @@
 """Rotation systems, homology, shortest non-contractible cycles, cutting."""
+import time
+
 import pytest
 
 from torodef import (GridSpec, build_graph, gen_grid, gen_named, girth,
@@ -8,7 +10,7 @@ from torodef.embedding import (RotationSystem, cut_and_contract, contract_path,
                                make_cycle_cert, shortest_noncontractible_cycle,
                                shortest_path, trace_faces, walk_signature)
 from torodef.cli import parse_family_token
-from .conftest import all_valid_grids
+from .conftest import all_valid_grids, cut_observations, irregular_torus
 
 K4_PLANAR_ROT = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
@@ -203,7 +205,9 @@ def test_cut_and_contract_counts_and_planarity():
         g, rot = gen_named(token)
         cyc = shortest_noncontractible_cycle(rot)
         cut = cut_and_contract(rot, cyc)
+        assert cut.h is cut.rot.graph
         assert cut.h.n == g.n - cyc.length + 2
+        assert euler_genus(cut.rot) == 0
         assert planarity_check(cut.h)
         assert cut.orig[cut.u] is None and cut.orig[cut.v] is None
         survivors = sorted(v for v in cut.orig if v is not None)
@@ -216,6 +220,43 @@ def test_cut_rejects_contractible_cycles():
     cert = make_cycle_cert(rot, [u for u, _ in face])
     with pytest.raises(ValueError):
         cut_and_contract(rot, cert)
+
+
+def test_cut_rejects_chorded_cycles():
+    """A non-contractible cycle with a chord: the SNCC's first edge detoured
+    through a common neighbor, so that edge is now a chord."""
+    _, rot = gen_grid(GridSpec(6, 6, 1))
+    vs = shortest_noncontractible_cycle(rot).vertices
+    x = min((rot.graph.adj[vs[0]] & rot.graph.adj[vs[1]]) - set(vs))
+    cert = make_cycle_cert(rot, (vs[0], x) + vs[1:])
+    assert cert.signature != 0
+    with pytest.raises(ValueError, match="induced"):
+        cut_and_contract(rot, cert)
+
+
+@pytest.mark.parametrize("token", ["k7", "t11", "grid:5x5,2"])
+def test_cut_certificate_detects_a_reversed_rotation(token):
+    """The genus-0 certificate is not vacuous: reversing the cyclic order at
+    the contracted vertex u gives a rotation of the same graph with positive
+    genus."""
+    _, rot, _ = parse_family_token(token)
+    cut = cut_and_contract(rot, shortest_noncontractible_cycle(rot))
+    assert euler_genus(cut.rot) == 0
+    rows = list(cut.rot.rot)
+    rows[cut.u] = rows[cut.u][::-1]
+    assert euler_genus(RotationSystem(cut.h, tuple(rows))) != 0
+
+
+# Seeds 116 and 250 are the planar 4-coloring regression graphs of
+# tests/test_constructions.py.
+CUT_SEEDS = (*range(1, 101), 116, 250)
+
+
+def test_cut_observations_on_irregular_tori():
+    t0 = time.perf_counter()
+    failures = [(seed, *f) for seed in CUT_SEEDS for f in cut_observations(irregular_torus(seed))]
+    assert not failures
+    assert time.perf_counter() - t0 < 20
 
 
 def test_shortest_path_and_contract_path():
