@@ -10,11 +10,11 @@ import argparse
 import functools
 import re
 import sys
-from typing import Optional
+from collections import Counter
+from typing import Optional, Union
 
 from . import constructions, fileio
-from .embedding import (RotationSystem, euler_genus, shortest_noncontractible_cycle,
-                        trace_faces)
+from .embedding import RotationSystem, euler_genus, shortest_noncontractible_cycle
 from .generators import (CirculantSpec, GridSpec, InvalidSpec, gen_circulant,
                          gen_grid, gen_named)
 from .graph import Coloring, DefectVector, Graph, verify_coloring
@@ -26,21 +26,27 @@ class UsageError(Exception):
     pass
 
 
+def _parse_spec(token: str) -> Union[GridSpec, CirculantSpec, None]:
+    """The spec of a grid:... or circ:... token, graph unbuilt; else None."""
+    mg = re.fullmatch(r"grid:(\d+)x(\d+),(\d+)", token)
+    if mg:
+        return GridSpec(int(mg.group(1)), int(mg.group(2)), int(mg.group(3)))
+    mc = re.fullmatch(r"circ:(\d+):([\d,]+)", token)
+    if mc:
+        return CirculantSpec(int(mc.group(1)), frozenset(int(x) for x in mc.group(2).split(",")))
+    return None
+
+
 def parse_family_token(token: str) -> tuple[Graph, Optional[RotationSystem], object]:
     """Resolve a family token to (graph, optional embedding, spec-or-name).
 
     Tokens: k6, k7, h7, t11, c3vc5, k2vh7, c<n>, k<n>,
     grid:<m>x<n>,<k>, circ:<n>:<s1,s2,...>.
     """
-    mg = re.fullmatch(r"grid:(\d+)x(\d+),(\d+)", token)
-    if mg:
-        spec = GridSpec(int(mg.group(1)), int(mg.group(2)), int(mg.group(3)))
-        g, rot = gen_grid(spec)
-        return g, rot, spec
-    mc = re.fullmatch(r"circ:(\d+):([\d,]+)", token)
-    if mc:
-        offs = frozenset(int(x) for x in mc.group(2).split(","))
-        spec = CirculantSpec(int(mc.group(1)), offs)
+    spec = _parse_spec(token)
+    if isinstance(spec, GridSpec):
+        return (*gen_grid(spec), spec)
+    if spec is not None:
         return gen_circulant(spec), None, spec
     try:
         g, rot = gen_named(token)
@@ -118,15 +124,15 @@ def cmd_verify(args) -> int:
 def cmd_color(args) -> int:
     name = args.construction
     if name == "6reg":
-        _, _, spec = parse_family_token(args.input)
-        if not isinstance(spec, (GridSpec, CirculantSpec)):
+        spec = _parse_spec(args.input)
+        if spec is None:
             raise UsageError("construction 6reg expects a grid:... or circ:... token")
         cert = constructions.color_6regular(spec)
     elif name == "0003core":
         g = _load_graph(args.input)
-        if not args.core:
+        spec = _parse_spec(args.core or "")
+        if spec is None:
             raise UsageError("construction 0003core requires --core <grid:...|circ:...>")
-        _, _, spec = parse_family_token(args.core)
         cert = constructions.color_0003_high_min_degree(g, spec)
     else:
         rot = _load_rotation(args.input)
@@ -147,13 +153,10 @@ def cmd_embed_info(args) -> int:
     rot = _load_rotation(args.rotation)
     g = rot.graph
     genus = euler_genus(rot)  # first, so a degenerate file is rejected before any output
-    faces = trace_faces(rot)
-    hist: dict[int, int] = {}
-    for f in faces:
-        hist[len(f)] = hist.get(len(f), 0) + 1
+    hist = Counter(len(f) for f in rot.faces)
     print(f"V {g.n}")
     print(f"E {g.m}")
-    print(f"F {len(faces)}")
+    print(f"F {len(rot.faces)}")
     print(f"genus {genus}")
     for deg in sorted(hist):
         print(f"faces_deg_{deg} {hist[deg]}")

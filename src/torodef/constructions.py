@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 from .embedding import (RotationSystem, cut_and_contract, contract_path,
                         shortest_noncontractible_cycle, shortest_path)
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
-                         classify_6regular, gen_circulant, gen_grid, _r_forms)
+                         classify_6regular, gen_circulant, _r_forms, _validate_6regular)
 from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, degeneracy,
                     induced_subgraph, verify_coloring)
 from .iso import are_isomorphic
@@ -334,12 +334,11 @@ def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
     the circulant families to their patterns, transported through the
     classifier's unit when the offsets are not literally {1,2,3} or
     {1,r,r+1}, and through its isomorphism witness for multi-column grids.
+    The spec's graph is the one the classifier built.
     """
     cls = classify_6regular(spec)
-    if isinstance(spec, CirculantSpec):
-        return _color_circulant(gen_circulant(spec), cls)
-    g = gen_grid(spec)[0]
-    if spec.n == 1:
+    g = cls.graph
+    if isinstance(spec, CirculantSpec) or spec.n == 1:
         return _color_circulant(g, cls)
     if cls.four_colorable:
         return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
@@ -391,10 +390,7 @@ def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpe
     if d6 < 6:
         raise ValueError(f"degeneracy {d6} < 6: no 6-core to lift from")
     core_graph, back = induced_subgraph(g, core)
-    if isinstance(core_spec, GridSpec):
-        family = gen_grid(core_spec)[0]
-    else:
-        family = gen_circulant(core_spec)
+    family = _validate_6regular(core_spec)
     ok, witness = are_isomorphic(family, core_graph)
     if not ok:
         raise ValueError("6-core does not match the supplied family spec")

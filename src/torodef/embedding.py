@@ -17,6 +17,7 @@ than over-claim).
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -35,7 +36,11 @@ def _edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """A graph together with a counterclockwise neighbor order at each vertex."""
+    """A graph together with a counterclockwise neighbor order at each vertex.
+
+    The rotation alone determines the faces: :attr:`faces` traces them once
+    per object, and every reader of an embedding's faces goes through it.
+    """
 
     graph: Graph
     rot: tuple[tuple[int, ...], ...]
@@ -47,6 +52,11 @@ class RotationSystem:
         for v in range(g.n):
             if sorted(self.rot[v]) != sorted(g.adj[v]):
                 raise ValueError(f"rotation at vertex {v} does not match its neighbors")
+
+    @functools.cached_property
+    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """The facial walks of :func:`trace_faces`, traced on first use and kept."""
+        return trace_faces(self)
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,8 @@ def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
     From dart (u -> v) the walk continues with the successor of (v -> u) in
     v's rotation.  Every dart lies in exactly one face, so the face degrees
     sum to twice the edge count.  Each face starts at its smallest dart, and
-    the faces come in the order of those darts.
+    the faces come in the order of those darts.  The package traces each
+    rotation system once, through its cached :attr:`RotationSystem.faces`.
     """
     g = rot.graph
     pos = [{w: i for i, w in enumerate(rot.rot[v])} for v in range(g.n)]
@@ -99,17 +110,14 @@ def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
 def euler_genus(rot: RotationSystem) -> int:
     """Euler genus 2 - (|V| - |E| + |F|); even for rotation systems.
 
-    Faces are traced along darts, so a graph without edges has none, and
-    the faces of a disconnected graph lie on several surfaces: both are a
-    ``ValueError``.
+    Faces (the cached :attr:`RotationSystem.faces`) are traced along darts,
+    so a graph without edges has none, and the faces of a disconnected graph
+    lie on several surfaces: both are a ``ValueError``.
     """
-    return _genus_of_faces(rot.graph, trace_faces(rot))
-
-
-def _genus_of_faces(g: Graph, faces: Sequence[Sequence[Dart]]) -> int:
+    g = rot.graph
     if g.m == 0 or not _connected(g):
         raise ValueError("Euler genus needs a connected graph with at least one edge")
-    eg = 2 - (g.n - g.m + len(faces))
+    eg = 2 - (g.n - g.m + len(rot.faces))
     if eg < 0 or eg % 2 != 0:
         raise AssertionError(f"impossible Euler genus {eg} from face tracing")
     return eg
@@ -135,20 +143,16 @@ def edge_signatures(rot: RotationSystem) -> dict[Edge, int]:
     A spanning tree T gets signature 0; a spanning tree of the dual (built
     from edges outside T) is peeled from the leaves so that every facial
     walk sums to zero; the ``eg`` leftover edges each carry one distinct bit.
+    Degenerate graphs are a ``ValueError``, as in :func:`euler_genus`.
     """
-    if not _connected(rot.graph):
-        raise ValueError("edge signatures require a connected graph")
-    return _signatures_of_faces(rot.graph, trace_faces(rot))
-
-
-def _signatures_of_faces(g: Graph, faces: Sequence[Sequence[Dart]]) -> dict[Edge, int]:
-    """:func:`edge_signatures` of a connected graph from its traced faces."""
-    eg = 2 - (g.n - g.m + len(faces))
+    g = rot.graph
+    eg = euler_genus(rot)
+    faces = rot.faces
 
     # BFS spanning tree of the primal graph.
     tree: set[Edge] = set()
-    seen = {0} if g.n else set()
-    queue = deque([0] if g.n else [])
+    seen = {0}
+    queue = deque([0])
     while queue:
         u = queue.popleft()
         for w in sorted(g.adj[u]):
@@ -157,25 +161,18 @@ def _signatures_of_faces(g: Graph, faces: Sequence[Sequence[Dart]]) -> dict[Edge
                 tree.add(_edge(u, w))
                 queue.append(w)
 
-    face_of: dict[Dart, int] = {}
-    for fi, walk in enumerate(faces):
-        for dart in walk:
-            face_of[dart] = fi
+    face_of = {dart: fi for fi, walk in enumerate(faces) for dart in walk}
 
     # Spanning tree of the dual restricted to non-tree edges (the cotree).
-    cotree: set[Edge] = set()
     dual_parent_edge: dict[int, Edge] = {}
-    dual_parent: dict[int, int] = {}
     dual_order: list[int] = []
     dseen = {0}
     dqueue = deque([0])
     nontree = [e for e in g.edges() if e not in tree]
     incident: dict[int, list[Edge]] = {}
-    for e in nontree:
-        u, v = e
-        f1, f2 = face_of[(u, v)], face_of[(v, u)]
-        incident.setdefault(f1, []).append(e)
-        incident.setdefault(f2, []).append(e)
+    for u, v in nontree:
+        for f in (face_of[(u, v)], face_of[(v, u)]):
+            incident.setdefault(f, []).append((u, v))
     while dqueue:
         f = dqueue.popleft()
         dual_order.append(f)
@@ -184,13 +181,12 @@ def _signatures_of_faces(g: Graph, faces: Sequence[Sequence[Dart]]) -> dict[Edge
             for f2 in (face_of[(u, v)], face_of[(v, u)]):
                 if f2 not in dseen:
                     dseen.add(f2)
-                    cotree.add(e)
                     dual_parent_edge[f2] = e
-                    dual_parent[f2] = f
                     dqueue.append(f2)
     if len(dseen) != len(faces):
         raise AssertionError("dual graph disconnected under non-tree edges")
 
+    cotree = set(dual_parent_edge.values())
     leftover = [e for e in nontree if e not in cotree]
     if len(leftover) != eg:
         raise AssertionError(f"{len(leftover)} leftover edges, expected Euler genus {eg}")
@@ -279,11 +275,10 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     cycle.
     """
     g = rot.graph
-    faces = trace_faces(rot)  # one trace serves the genus check and the signatures
-    if _genus_of_faces(g, faces) != 2:
+    if euler_genus(rot) != 2:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
-    sig = _signatures_of_faces(g, faces)
-    edges = list(g.edges())
+    sig = edge_signatures(rot)
+    higher = [[w for w in g.adj[u] if w > u] for u in range(g.n)]  # each edge once
 
     best: Optional[tuple[int, tuple[int, ...]]] = None
     for root in range(g.n):
@@ -303,21 +298,22 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
                     psig[w] = psig[u] ^ sig[_edge(u, w)]
                     queue.append(w)
 
-        for u, w in edges:
-            if u not in dist or w not in dist or parent[u] == w or parent[w] == u:
-                continue
-            if best is not None and dist[u] + dist[w] + 1 > best[0]:
-                continue
-            if psig[u] ^ psig[w] ^ sig[(u, w)] == 0:
-                continue
-            up_u, up_w = [u], [w]  # climb the deeper side until both meet at the lca
-            while up_u[-1] != up_w[-1]:
-                deeper = up_u if dist[up_u[-1]] >= dist[up_w[-1]] else up_w
-                deeper.append(parent[deeper[-1]])
-            cycle = up_u[::-1] + up_w[:-1]  # lca .. u, w .. (child of lca)
-            key = (len(cycle), _canonical_cycle(cycle))
-            if best is None or key < best:
-                best = key
+        for u in dist:  # only an edge inside the BFS ball closes a candidate
+            for w in higher[u]:
+                if w not in dist or parent[u] == w or parent[w] == u:
+                    continue
+                if best is not None and dist[u] + dist[w] + 1 > best[0]:
+                    continue
+                if psig[u] ^ psig[w] ^ sig[(u, w)] == 0:
+                    continue
+                up_u, up_w = [u], [w]  # climb the deeper side until both meet at the lca
+                while up_u[-1] != up_w[-1]:
+                    deeper = up_u if dist[up_u[-1]] >= dist[up_w[-1]] else up_w
+                    deeper.append(parent[deeper[-1]])
+                cycle = up_u[::-1] + up_w[:-1]  # lca .. u, w .. (child of lca)
+                key = (len(cycle), _canonical_cycle(cycle))
+                if best is None or key < best:
+                    best = key
 
     if best is None:
         raise AssertionError("no non-contractible cycle found on a genus-2 embedding")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .graph import Graph, build_graph, join
-from .embedding import RotationSystem, euler_genus, trace_faces
+from .embedding import RotationSystem, euler_genus
 
 
 class InvalidSpec(ValueError):
@@ -130,8 +130,7 @@ def gen_grid(spec: GridSpec) -> tuple[Graph, RotationSystem]:
             edges.extend((i * n + j, w) for w in nbrs)
     g = build_graph(m * n, edges)
     rot = RotationSystem(g, tuple(rot_rows))
-    faces = trace_faces(rot)
-    if euler_genus(rot) != 2 or any(len(f) != 3 for f in faces):
+    if euler_genus(rot) != 2 or any(len(f) != 3 for f in rot.faces):
         raise AssertionError(f"canonical embedding of G[{m}x{n},{k}] is not a torus triangulation")
     return g, rot
 
@@ -236,6 +235,7 @@ def _offsets_r_form(offsets: frozenset[int]) -> Optional[int]:
 class Classification:
     """Verdict for one 6-regular spec: either 4-colorable or an exception.
 
+    ``graph`` is the spec's graph, built and validated by the classifier.
     ``case`` names the item of the Yeh-Zhu list the spec falls in: "1" for a
     graph of the six small grids, "4" for a unit image of G_n[1,2,3] (an
     exception exactly when 4 does not divide n, so a "4" verdict may be
@@ -249,6 +249,7 @@ class Classification:
     is 1.
     """
 
+    graph: Graph = field(repr=False)
     four_colorable: bool
     case: Optional[str] = None          # "1", "4" or "5"
     reduced: Optional[CirculantSpec] = None
@@ -317,10 +318,10 @@ def _classify_grid_by_isomorphism(g: Graph) -> Classification:
     for candidate, case, cspec in _exception_graphs(g.n):
         ok, witness = are_isomorphic(candidate, g)
         if ok:
-            return Classification(False, case=case, reduced=cspec,
+            return Classification(g, False, case=case, reduced=cspec,
                                   unit=None if cspec is None else 1,
                                   witness=tuple(witness[v] for v in range(g.n)))
-    return Classification(True)
+    return Classification(g, True)
 
 
 def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
@@ -338,7 +339,7 @@ def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
     g = _validate_6regular(spec)
     if isinstance(spec, GridSpec):
         if spec in SMALL_EXCEPTION_GRIDS:
-            return Classification(False, case="1")
+            return Classification(g, False, case="1")
         if spec.n > 1:
             return _classify_grid_by_isomorphism(g)
         spec = grid_as_circulant(spec)
@@ -352,11 +353,11 @@ def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
 
     for p, r in forms:
         if r == 2:
-            return Classification(n % 4 == 0, case="4",
+            return Classification(g, n % 4 == 0, case="4",
                                   reduced=CirculantSpec(n, frozenset({1, 2, 3})), unit=p)
 
     for p, r in forms:
         if (r, n) in SPORADIC_PAIRS:
-            return Classification(False, case="5",
+            return Classification(g, False, case="5",
                                   reduced=CirculantSpec(n, frozenset({1, r, r + 1})), unit=p)
-    return Classification(True)
+    return Classification(g, True)

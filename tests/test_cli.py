@@ -4,8 +4,8 @@ import io
 import pytest
 
 from torodef import DefectVector, gen_grid, gen_named, verify_coloring
-from torodef.generators import GridSpec
-from torodef import constructions, fileio
+from torodef.generators import CirculantSpec, GridSpec
+from torodef import cli, constructions, fileio, generators
 from torodef.cli import build_parser, main, parse_family_token
 
 
@@ -231,6 +231,33 @@ def test_color_0003core_command(tmp_path, capsys):
     coloring, d, _ = fileio.read_certificate(open(cert))
     assert verify_coloring(g, coloring, d).valid
     assert run(["color", gpath, "--construction", "0003core"]) == 2  # missing --core
+    assert run(["color", gpath, "--construction", "0003core", "--core", "k7"]) == 2  # not a spec
+    capsys.readouterr()
+
+
+def test_color_6reg_builds_the_spec_graph_once(tmp_path, capsys, monkeypatch):
+    # The classifier's verdict carries the graph it built; exception
+    # candidates built for an isomorphism search are other specs.
+    built = []
+    for module in (generators, constructions, cli):  # every binding a module may call
+        for name in ("gen_grid", "gen_circulant"):
+            if not hasattr(module, name):
+                continue
+
+            def counting(spec, real=getattr(module, name)):
+                built.append(spec)
+                return real(spec)
+            monkeypatch.setattr(module, name, counting)
+    cert = str(tmp_path / "cert")
+    for token, spec in (("grid:13x1,5", GridSpec(13, 1, 5)),
+                        ("circ:13:1,2,3", CirculantSpec(13, frozenset({1, 2, 3})))):
+        built.clear()
+        assert run(["color", token, "--construction", "6reg", "--output", cert]) == 0
+        assert built.count(spec) == 1, token
+        coloring, d, _ = fileio.read_certificate(open(cert))
+        assert verify_coloring(parse_family_token(token)[0], coloring, d).valid
+    for token in ("grid:2x2,1", "circ:13:1,2", "k7"):  # not simple 6-regular; not a spec
+        assert run(["color", token, "--construction", "6reg"]) == 2, token
     capsys.readouterr()
 
 

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from torodef import (GridSpec, build_graph, gen_grid, gen_named, girth,
-                     planarity_check)
+from torodef import (GridSpec, build_graph, color_0004, color_00002, color_600001, gen_grid,
+                     gen_named, girth, planarity_check)
+from torodef import cli, embedding, fileio, generators
 from torodef.embedding import (RotationSystem, cut_and_contract, contract_path,
                                edge_signatures, euler_genus, is_contractible,
                                make_cycle_cert, shortest_noncontractible_cycle,
@@ -51,16 +52,61 @@ def test_planar_k4_rotation():
     assert len(trace_faces(rot)) == 4
 
 
-@pytest.mark.parametrize("n,edges,rows", [
+DEGENERATE = [
     (1, [], ((),)),                                              # a lone vertex
     (0, [], ()),                                                 # no vertex at all
     (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],       # two disjoint triangles
      ((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4))),
-])
+]
+
+
+@pytest.mark.parametrize("n,edges,rows", DEGENERATE)
 def test_euler_genus_rejects_degenerate_graphs(n, edges, rows):
     rot = RotationSystem(build_graph(n, edges), rows)
     with pytest.raises(ValueError):
         euler_genus(rot)
+
+
+@pytest.mark.parametrize("n,edges,rows", DEGENERATE)
+def test_edge_signatures_reject_degenerate_graphs(n, edges, rows):
+    rot = RotationSystem(build_graph(n, edges), rows)
+    with pytest.raises(ValueError, match="Euler genus needs a connected graph"):
+        edge_signatures(rot)
+
+
+def test_each_rotation_system_is_traced_once(monkeypatch, tmp_path, capsys):
+    _, grid = gen_grid(GridSpec(7, 7, 3))
+    path = str(tmp_path / "grid.rot")
+    with open(path, "w") as f:
+        fileio.write_rotation(grid, f)
+    calls = []
+
+    def counting(rot, real=embedding.trace_faces):
+        calls.append(rot)
+        return real(rot)
+
+    for module in (embedding, generators, cli):  # every binding a module may call
+        if hasattr(module, "trace_faces"):
+            monkeypatch.setattr(module, "trace_faces", counting)
+
+    color_600001(RotationSystem(grid.graph, grid.rot))
+    assert len(calls) == 2  # the input, and the cut graph's genus-0 certificate
+
+    calls.clear()
+    rot = RotationSystem(grid.graph, grid.rot)
+    for pipeline in (color_600001, color_00002, color_0004):
+        pipeline(rot)
+    assert len(calls) == 4  # the input once, and three cut certificates
+    assert calls[0] is rot
+
+    calls.clear()
+    gen_grid(GridSpec(7, 7, 3))
+    assert len(calls) == 1
+
+    calls.clear()
+    assert cli.main(["embed-info", path]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_face_darts_partition():

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-private module-level function is used somewhere in the package, and every
-defaulted parameter of a package function is set by some call."""
+private module-level function is used somewhere in the package, every
+defaulted parameter of a package function is set by some call, and only
+``RotationSystem.faces`` traces faces."""
 import ast
 from pathlib import Path
 
@@ -112,3 +113,37 @@ def test_every_default_is_set_by_some_call():
                for path in sorted((ROOT / top).rglob("*.py"))]
     assert len(callers) > len(package)
     assert _unset_defaults(package, callers) == []
+
+
+def _trace_faces_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of ``trace_faces`` in ``sources`` made anywhere but in the body
+    of ``RotationSystem.faces``, as module:line (enclosing scope)."""
+    found = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name == "trace_faces" and scope != "RotationSystem.faces":
+                    found.append(f"{module}:{child.lineno} ({scope or 'module'})")
+            visit(child, inner, module)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), "", module)
+    return found
+
+
+def test_trace_faces_call_detector():
+    sources = {"a.py": "class RotationSystem:\n    def faces(self):\n        return trace_faces(self)\n"
+                       "\n    def genus(self):\n        return len(trace_faces(self))\n",
+               "b.py": "from . import embedding\n\nF = embedding.trace_faces(r)\n"}
+    assert _trace_faces_calls(sources) == ["a.py:6 (RotationSystem.genus)", "b.py:3 (module)"]
+
+
+def test_only_the_rotation_system_traces_faces():
+    # Every reader of an embedding's faces shares the cached trace.
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _trace_faces_calls(sources) == []
