@@ -6,14 +6,13 @@ emitted anywhere in the package is certified by the independent verifier in
 :mod:`torodef.graph`.
 """
 from .graph import (Coloring, DefectVector, Graph, VerificationReport, build_graph,
-                    degeneracy, girth, induced_subgraph, join, verify_coloring)
+                    degeneracy, induced_subgraph, join, verify_coloring)
 from .iso import are_isomorphic
 from .generators import (CirculantSpec, GridSpec, InvalidSpec, classify_6regular,
                          gen_circulant, gen_grid, gen_named)
 from .embedding import (CutResult, CycleCert, RotationSystem, cut_and_contract,
-                        contract_path, edge_signatures, euler_genus, is_contractible,
-                        planarity_check, shortest_noncontractible_cycle, shortest_path,
-                        trace_faces)
+                        contract_path, edge_signatures, euler_genus,
+                        shortest_noncontractible_cycle, shortest_path, trace_faces)
 from .solver import (INDETERMINATE, SAT, UNSAT, SolveResult, enumerate_oracle, solve,
                      solve_with_precoloring)
 from .constructions import (Certificate, color_0004, color_00002, color_0122,

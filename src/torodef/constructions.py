@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 from .embedding import (RotationSystem, cut_and_contract, contract_path,
                         shortest_noncontractible_cycle, shortest_path)
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
-                         classify_6regular, gen_circulant, _r_forms, _validate_6regular)
+                         classify_6regular, gen_circulant, _r_forms)
 from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, degeneracy,
                     induced_subgraph, verify_coloring)
 from .iso import are_isomorphic
@@ -336,7 +336,11 @@ def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
     {1,r,r+1}, and through its isomorphism witness for multi-column grids.
     The spec's graph is the one the classifier built.
     """
-    cls = classify_6regular(spec)
+    return _color_classified(spec, classify_6regular(spec))
+
+
+def _color_classified(spec: Union[GridSpec, CirculantSpec], cls: Classification) -> Certificate:
+    """:func:`color_6regular` given the spec's classification."""
     g = cls.graph
     if isinstance(spec, CirculantSpec) or spec.n == 1:
         return _color_circulant(g, cls)
@@ -381,22 +385,23 @@ def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpe
     """(0,0,0,<=3)-certificate for a graph whose 6-core is a recognized
     6-regular family.
 
-    The core is matched against the generated family by isomorphism, colored
-    through :func:`color_6regular`, and the coloring is extended to the rest
-    of the graph by exact search with the core precolored.  T11 cores keep
+    The core is matched against the family spec's graph by isomorphism,
+    colored as :func:`color_6regular` colors the spec (from the same
+    classification), and the coloring is extended to the rest of the graph
+    by exact search with the core precolored.  T11 cores keep
     their stronger (0,0,0,2) budget when the extension allows it.
     """
     d6, core = degeneracy(g)
     if d6 < 6:
         raise ValueError(f"degeneracy {d6} < 6: no 6-core to lift from")
     core_graph, back = induced_subgraph(g, core)
-    family = _validate_6regular(core_spec)
-    ok, witness = are_isomorphic(family, core_graph)
+    cls = classify_6regular(core_spec)
+    ok, witness = are_isomorphic(cls.graph, core_graph)
     if not ok:
         raise ValueError("6-core does not match the supplied family spec")
 
-    core_cert = color_6regular(core_spec)
-    pre = {back[witness[v]]: core_cert.coloring[v] for v in range(family.n)}
+    core_cert = _color_classified(core_spec, cls)
+    pre = {back[witness[v]]: core_cert.coloring[v] for v in range(cls.graph.n)}
 
     targets = [core_cert.defects]
     if core_cert.defects.entries[-1][0] < 3:

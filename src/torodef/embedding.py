@@ -12,8 +12,7 @@ and contracting a path into one vertex.
 Homology signatures are bitmasks over the ``eg`` leftover edges of the
 tree-cotree decomposition; a cycle on the torus is contractible exactly
 when its signature is zero (on the torus, contractible = separating =
-Z2-null-homologous; the contractibility test refuses other genera rather
-than over-claim).
+Z2-null-homologous).
 """
 from __future__ import annotations
 
@@ -21,8 +20,6 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from .graph import Graph, build_graph
 
@@ -69,10 +66,6 @@ class CycleCert:
     @property
     def length(self) -> int:
         return len(self.vertices)
-
-    def edges(self) -> list[Edge]:
-        vs = self.vertices
-        return [_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
 def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
@@ -225,28 +218,6 @@ def walk_signature(sig: dict[Edge, int], vertices: Sequence[int]) -> int:
     return total
 
 
-def make_cycle_cert(rot: RotationSystem, vertices: Sequence[int]) -> CycleCert:
-    """Wrap a vertex sequence as a cycle certificate, computing its signature."""
-    vs = tuple(vertices)
-    if len(vs) < 3 or len(set(vs)) != len(vs):
-        raise ValueError("not a simple cycle")
-    for i in range(len(vs)):
-        if vs[(i + 1) % len(vs)] not in rot.graph.adj[vs[i]]:
-            raise ValueError(f"vertices {vs[i]} and {vs[(i + 1) % len(vs)]} not adjacent")
-    return CycleCert(vs, walk_signature(edge_signatures(rot), vs))
-
-
-def is_contractible(rot: RotationSystem, c: CycleCert) -> bool:
-    """On the torus a cycle is contractible iff its signature vanishes.
-
-    Refuses rotation systems of any other genus, where the signature test
-    would be unsound.
-    """
-    if euler_genus(rot) != 2:
-        raise ValueError("contractibility is only decided on the torus (Euler genus 2)")
-    return c.signature == 0
-
-
 def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest rotation/reflection, anchored at min vertex."""
     vs = list(vertices)
@@ -278,6 +249,7 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     if euler_genus(rot) != 2:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
     sig = edge_signatures(rot)
+    nbrs = [sorted(a) for a in g.adj]  # BFS visits smaller neighbors first
     higher = [[w for w in g.adj[u] if w > u] for u in range(g.n)]  # each edge once
 
     best: Optional[tuple[int, tuple[int, ...]]] = None
@@ -291,7 +263,7 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
             u = queue.popleft()
             if dist[u] >= depth_cap:
                 break
-            for w in sorted(g.adj[u]):
+            for w in nbrs[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -473,19 +445,3 @@ def contract_path(g: Graph, p: Sequence[int]) -> tuple[Graph, int, tuple[Optiona
         if xi != yi:
             edges.add(_edge(xi, yi))
     return build_graph(len(others) + 1, sorted(edges)), vstar, tuple(others) + (None,)
-
-
-def planarity_check(g: Graph) -> bool:
-    """Sound-and-complete planarity test (left-right algorithm via networkx).
-
-    An independent check: the coloring pipelines do not call it, since
-    :func:`cut_and_contract` certifies the planarity of its cut graph by a
-    genus-0 rotation system.
-    """
-    if g.m > max(0, 3 * g.n - 6):
-        return False
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
-    ok, _ = nx.check_planarity(nxg, counterexample=False)
-    return bool(ok)

@@ -33,11 +33,6 @@ class CirculantSpec:
             if not (1 <= x <= self.n // 2):
                 raise InvalidSpec(f"offset {x} outside 1..{self.n // 2} for n={self.n}")
 
-    @property
-    def half_offset(self) -> bool:
-        """True when n/2 is an offset (degree drops by one there)."""
-        return self.n % 2 == 0 and self.n // 2 in self.offsets
-
     def token(self) -> str:
         return f"circ:{self.n}:" + ",".join(str(x) for x in sorted(self.offsets))
 
@@ -170,9 +165,6 @@ def _hajos_h7() -> Graph:
              (0, 5), (0, 6), (4, 5), (4, 6), (5, 6),
              (1, 4)]
     return build_graph(7, edges)
-
-
-NAMED_TOKENS = ("k6", "k7", "h7", "t11", "c3vc5", "k2vh7")
 
 
 def gen_named(name: str) -> tuple[Graph, Optional[RotationSystem]]:

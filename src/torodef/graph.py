@@ -40,9 +40,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph on vertices ``0..n-1`` from an edge list.
@@ -174,35 +171,6 @@ def verify_coloring(g: Graph, coloring: Sequence[int], d: DefectVector) -> Verif
         mono_edges=tuple(tuple(sorted(m)) for m in mono),
         first_violation=first_violation,
     )
-
-
-def girth(g: Graph) -> Optional[int]:
-    """Length of the shortest cycle, or ``None`` for forests.
-
-    BFS from every vertex; the minimum closed-walk candidate over all roots
-    equals the girth.
-    """
-    best: Optional[int] = None
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in sorted(g.adj[u]):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cand = dist[u] + dist[w] + 1
-                        if best is None or cand < best:
-                            best = cand
-            queue = nxt
-        if best == 3:
-            break
-    return best
 
 
 def degeneracy(g: Graph) -> tuple[int, frozenset[int]]:

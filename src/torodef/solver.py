@@ -7,7 +7,6 @@ ground truth the search is tested against.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -23,12 +22,7 @@ class SolveResult:
     status: str
     coloring: Optional[Coloring]
     nodes: int
-    elapsed: float
     violation: Optional[tuple] = None  # witness for inconsistent precolorings
-
-    @property
-    def sat(self) -> bool:
-        return self.status == SAT
 
 
 class _Budget(Exception):
@@ -52,7 +46,6 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     Precolored vertices are never recolored.  An internally inconsistent
     precoloring yields an immediate UNSAT with a witness violation.
     """
-    start = time.perf_counter()
     k = d.k
     defects = [d.entries[c][0] for c in range(k)]
     starred = [d.entries[c][1] for c in range(k)]
@@ -86,8 +79,7 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
             raise ValueError(f"precolored vertex {v} has class {c1}, outside 1..{k}")
         c = c1 - 1
         if not _feasible(v, c, adj, color, nb_count, mono_used, defects, starred):
-            return SolveResult(UNSAT, None, 0, time.perf_counter() - start,
-                               violation=(v, c1))
+            return SolveResult(UNSAT, None, 0, violation=(v, c1))
         place(v, c)
 
     # Classes with identical (defect, star) are interchangeable; within each
@@ -148,10 +140,10 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     try:
         found = search()
     except _Budget:
-        return SolveResult(INDETERMINATE, None, nodes, time.perf_counter() - start)
+        return SolveResult(INDETERMINATE, None, nodes)
 
     if not found:
-        return SolveResult(UNSAT, None, nodes, time.perf_counter() - start)
+        return SolveResult(UNSAT, None, nodes)
     out = tuple(color)
     report = verify_coloring(g, out, d)
     if not report.valid:
@@ -159,7 +151,7 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     for v, c1 in pre.items():
         if out[v] != c1:
             raise AssertionError("precolored vertex was recolored")
-    return SolveResult(SAT, out, nodes, time.perf_counter() - start)
+    return SolveResult(SAT, out, nodes)
 
 
 def _feasible(v, c, adj, color, nb_count, mono_used, defects, starred) -> bool:
@@ -180,7 +172,6 @@ def enumerate_oracle(g: Graph, d: DefectVector, bound: int = 10 ** 8) -> SolveRe
 
     Refuses instances with k^n above ``bound`` rather than sampling.
     """
-    start = time.perf_counter()
     k = d.k
     n = g.n
     if k ** n > bound:
@@ -212,12 +203,12 @@ def enumerate_oracle(g: Graph, d: DefectVector, bound: int = 10 ** 8) -> SolveRe
             report = verify_coloring(g, out, d)
             if not report.valid:
                 raise AssertionError("oracle accepted a coloring the verifier rejects")
-            return SolveResult(SAT, out, checked, time.perf_counter() - start)
+            return SolveResult(SAT, out, checked)
         # next assignment, odometer style
         i = n - 1
         while i >= 0 and assignment[i] == k:
             assignment[i] = 1
             i -= 1
         if i < 0:
-            return SolveResult(UNSAT, None, checked, time.perf_counter() - start)
+            return SolveResult(UNSAT, None, checked)
         assignment[i] += 1

@@ -1,16 +1,70 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, including the independent oracles
+(planarity, girth, cycle signatures) that the package itself never calls."""
 import functools
 import math
 import random
 
+import networkx as nx
 import pytest
 
-from torodef import (SAT, DefectVector, InvalidSpec, RotationSystem, build_graph,
-                     classify_6regular, euler_genus, gen_circulant, gen_grid,
-                     planarity_check, solve, solve_with_precoloring)
+from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, build_graph,
+                     classify_6regular, edge_signatures, euler_genus, gen_circulant, gen_grid,
+                     solve, solve_with_precoloring)
 from torodef.embedding import (contract_path, cut_and_contract,
-                               shortest_noncontractible_cycle, shortest_path)
+                               shortest_noncontractible_cycle, shortest_path, walk_signature)
 from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
+
+
+def planarity_check(g) -> bool:
+    """Sound-and-complete planarity test (left-right algorithm via networkx),
+    independent of the genus-0 rotation by which the cut certifies itself."""
+    if g.m > max(0, 3 * g.n - 6):
+        return False
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    ok, _ = nx.check_planarity(nxg, counterexample=False)
+    return bool(ok)
+
+
+def girth(g):
+    """Length of the shortest cycle, or ``None`` for forests.
+
+    BFS from every vertex; the minimum closed-walk candidate over all roots
+    equals the girth.
+    """
+    best = None
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for w in sorted(g.adj[u]):
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif w != parent[u]:
+                        cand = dist[u] + dist[w] + 1
+                        if best is None or cand < best:
+                            best = cand
+            queue = nxt
+        if best == 3:
+            break
+    return best
+
+
+def make_cycle_cert(rot: RotationSystem, vertices) -> CycleCert:
+    """Wrap a vertex sequence as a cycle certificate, computing its signature."""
+    vs = tuple(vertices)
+    if len(vs) < 3 or len(set(vs)) != len(vs):
+        raise ValueError("not a simple cycle")
+    for i in range(len(vs)):
+        if vs[(i + 1) % len(vs)] not in rot.graph.adj[vs[i]]:
+            raise ValueError(f"vertices {vs[i]} and {vs[(i + 1) % len(vs)]} not adjacent")
+    return CycleCert(vs, walk_signature(edge_signatures(rot), vs))
 
 
 def all_valid_grids(max_vertices: int):
@@ -87,7 +141,7 @@ def admits_mono_at_most(g, b: int) -> bool:
         raise ValueError(f"b = {b} outside 0..2")
     n = g.n
     edges = list(g.edges())
-    if any(not g.has_edge((u + 1) % n, (v + 1) % n) for u, v in edges):
+    if any((v + 1) % n not in g.adj[(u + 1) % n] for u, v in edges):
         raise ValueError("vertex rotation is not an automorphism: not a circulant")
     firsts = [(0, x) for x in sorted(g.adj[0]) if x <= n // 2]
     matchings = [()]
@@ -100,7 +154,7 @@ def admits_mono_at_most(g, b: int) -> bool:
     for m in matchings:
         h = build_graph(n, [e for e in edges if e not in m])
         pre = {v: 4 for e in m for v in e}
-        if solve_with_precoloring(h, pre, proper).sat:
+        if solve_with_precoloring(h, pre, proper).status == SAT:
             return True
     return False
 
@@ -120,7 +174,7 @@ def cut_observations(rot: RotationSystem) -> list:
     failures = []
     # Induced: consecutive cycle vertices adjacent, no chords.
     for i, u in enumerate(cyc.vertices):
-        if not g.has_edge(u, cyc.vertices[(i + 1) % cyc.length]):
+        if cyc.vertices[(i + 1) % cyc.length] not in g.adj[u]:
             failures.append(("cycle edge missing", u))
         if sum(1 for w in g.adj[u] if w in on_cycle) != 2:
             failures.append(("cycle not induced at", u))
@@ -144,10 +198,11 @@ def irregular_torus(seed: int) -> RotationSystem:
     121 vertices after random diagonal flips and vertex deletions.
 
     A flip takes an edge uv between the triangles u-v-a and v-u-b, with a
-    and b not adjacent, and replaces it by ab.  A deletion is kept only
-    while the graph stays connected with Euler genus 2.  The genus is
-    checked after every move.  The result is immutable, so it is built once
-    per seed and shared between tests.
+    and b not adjacent, and replaces it by ab; both faces at ab are checked
+    to be triangles, and the flipped embedding to be a torus triangulation.
+    A deletion is kept only while the graph stays connected with Euler
+    genus 2.  The result is immutable, so it is built once per seed and
+    shared between tests.
     """
     rng = random.Random(seed)
     while True:
@@ -162,6 +217,10 @@ def irregular_torus(seed: int) -> RotationSystem:
     def succ(x, y):  # the neighbor after y in x's rotation
         row = rows[x]
         return row[(row.index(y) + 1) % len(row)]
+
+    def closes_triangle(x, y):  # the face of the dart x -> y has three darts
+        z = succ(y, x)
+        return succ(z, y) == x and succ(x, z) == y
 
     for _ in range(2 * g.n):
         u = rng.randrange(g.n)
@@ -178,9 +237,10 @@ def irregular_torus(seed: int) -> RotationSystem:
         adj[v].discard(u)
         adj[a].add(b)
         adj[b].add(a)
-        edges = [(x, y) for x in range(g.n) for y in adj[x] if x < y]
-        rot = RotationSystem(build_graph(g.n, edges), tuple(tuple(r) for r in rows))
-        assert euler_genus(rot) == 2
+        assert closes_triangle(a, b) and closes_triangle(b, a)
+    edges = [(x, y) for x in range(g.n) for y in adj[x] if x < y]
+    rot = RotationSystem(build_graph(g.n, edges), tuple(tuple(r) for r in rows))
+    assert euler_genus(rot) == 2 and all(len(f) == 3 for f in rot.faces)
     for _ in range(rng.randint(2, 8)):
         smaller = _delete_vertex(rot, rng.randrange(rot.graph.n))
         try:

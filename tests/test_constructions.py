@@ -1,16 +1,22 @@
 """Coloring pipelines: cut-and-contract, patterns, 6-regular dispatch."""
 import functools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torodef import (CirculantSpec, DefectVector, GridSpec, build_graph,
+import torodef
+from torodef import (SAT, CirculantSpec, DefectVector, GridSpec, build_graph,
                      classify_6regular, cut_and_contract, gen_circulant, gen_grid,
                      gen_named, induced_subgraph, shortest_noncontractible_cycle, solve,
                      verify_coloring)
-from torodef import constructions, embedding
+from torodef import constructions, generators
 from torodef.constructions import (PipelineError, _four_color_planar, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
                                    color_6regular, color_0003_high_min_degree,
@@ -163,17 +169,28 @@ def test_pipelines_on_irregular_tori():
     assert time.perf_counter() - t0 < 20
 
 
-def test_pipelines_certify_planarity_without_networkx(monkeypatch):
-    """The cut proves its planarity by its own genus-0 rotation; the
-    networkx test stays an independent check that the pipelines never call."""
-    def refuse(g):
-        raise AssertionError("planarity_check called on the pipeline path")
-
-    monkeypatch.setattr(embedding, "planarity_check", refuse)
-    for rot in (gen_named("k7")[1], gen_named("t11")[1], irregular_torus(116)):
-        for op in PIPELINES:
-            cert = op(rot)
-            assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
+def test_pipelines_certify_planarity_without_networkx():
+    """The cut proves its planarity by its own genus-0 rotation, so the
+    package runs the three cut pipelines and a 6reg colour op without
+    loading networkx, which only the tests' independent planarity oracle
+    uses.  A fresh interpreter keeps this suite's own imports out of it."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import torodef
+        from torodef import cli
+        for token in ("k7", "t11", "grid:5x5,2"):
+            rot = cli.parse_family_token(token)[1]
+            for op in (torodef.color_600001, torodef.color_00002, torodef.color_0004):
+                cert = op(rot)
+                assert torodef.verify_coloring(rot.graph, cert.coloring, cert.defects).valid
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["color", "grid:6x3,3", "--construction", "6reg"]) == 0
+        assert "networkx" not in sys.modules, "networkx was imported"
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(torodef.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_0122_split():
@@ -240,7 +257,7 @@ def test_admits_mono_at_most_one_matches_starred_solve():
     one_star = DefectVector.parse("0,0,0,1*")
     for r, n in SPORADIC_PAIRS:
         g = gen_circulant(CirculantSpec(n, frozenset({1, r, r + 1})))
-        assert admits_mono_at_most(g, 1) == solve(g, one_star).sat, (r, n)
+        assert admits_mono_at_most(g, 1) == (solve(g, one_star).status == SAT), (r, n)
 
 
 def test_admits_mono_at_most_rejects_non_circulants_and_large_bounds():
@@ -358,6 +375,23 @@ def test_0003_core_lift_on_decorated_k7():
     cert = color_0003_high_min_degree(g, GridSpec(7, 1, 4))
     assert str(cert.defects) == "0,0,0,3"
     assert verify_coloring(g, cert.coloring, cert.defects).valid
+
+
+def test_0003_core_lift_builds_the_core_graph_once(monkeypatch):
+    # The core's isomorphism check and its coloring share one classification.
+    calls = []
+
+    def counting(spec, real=generators._validate_6regular):
+        calls.append(spec)
+        return real(spec)
+
+    for module in (generators, constructions):  # every binding a module may call
+        if hasattr(module, "_validate_6regular"):
+            monkeypatch.setattr(module, "_validate_6regular", counting)
+    g = _with_pendants(gen_named("k7")[0], [(0, 7), (1, 7), (7, 8)], 9)
+    cert = color_0003_high_min_degree(g, GridSpec(7, 1, 4))
+    assert verify_coloring(g, cert.coloring, cert.defects).valid
+    assert calls == [GridSpec(7, 1, 4)]
 
 
 def test_0003_core_lift_preconditions():

@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module, every
-private module-level function is used somewhere in the package, every
-defaulted parameter of a package function is set by some call, and only
-``RotationSystem.faces`` traces faces."""
+"""Every name a package module imports is used in that module, the package
+imports only the standard library and itself, every private module-level
+function is used somewhere in the package, every public name is used by the
+package or the benchmark, every defaulted parameter of a package function is
+set by some call, and only ``RotationSystem.faces`` traces faces."""
 import ast
+import sys
 from pathlib import Path
 
 import torodef
@@ -37,6 +39,37 @@ def test_package_modules_have_no_unused_imports():
     assert not any(unused.values()), {k: v for k, v in unused.items() if v}
 
 
+def _foreign_imports(sources: dict[str, str]) -> list[str]:
+    """Absolute imports in ``sources`` of anything but the standard library
+    and ``torodef``, as module:line (imported module)."""
+    allowed = sys.stdlib_module_names | {"torodef"}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}:{node.lineno} ({name})" for name in names
+                      if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_foreign_import_detector():
+    sources = {"a.py": "from __future__ import annotations\n\nimport os.path, networkx as nx\n"
+                       "from . import b\nfrom .b import f\nfrom torodef.graph import Graph\n",
+               "b.py": "def f():\n    from numpy.linalg import det\n    import collections\n"}
+    assert _foreign_imports(sources) == ["a.py:3 (networkx)", "b.py:2 (numpy.linalg)"]
+
+
+def test_package_imports_only_the_standard_library():
+    # networkx, the planarity oracle, is a test dependency only.
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _foreign_imports(sources) == []
+
+
 def _dead_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` functions that no code of ``sources`` outside
     their own body refers to."""
@@ -65,6 +98,87 @@ def test_dead_private_function_detector():
 def test_package_has_no_dead_private_functions():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _dead_private_functions(sources) == []
+
+
+def _used_names(node) -> set[str]:
+    """Names that ``node`` uses: loaded names, attributes, imported names
+    and keyword arguments."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            names.add(sub.arg)
+    return names
+
+
+def _public_definitions(node) -> list[str]:
+    """Public names a ``def``, ``class`` or assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _unreferenced_public_names(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Public module-level names and class members of ``package`` that no
+    code of ``users`` uses outside their own definition.
+
+    A member ``K.m`` counts as used wherever the name ``m`` is used, so one
+    that shares its name with a used member of another class passes."""
+    defined = {}
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            for name in _public_definitions(node):
+                defined[name] = f"{module}:{node.lineno}"
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    for name in _public_definitions(member):
+                        defined[f"{node.name}.{name}"] = f"{module}:{member.lineno}"
+    uses = []  # (the names a scope defines, the names it uses)
+    for source in users.values():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                uses.append((set(_public_definitions(node)), _used_names(node)))
+                continue
+            header = node.bases + node.keywords + node.decorator_list
+            uses.append(({node.name}, set().union(*map(_used_names, header))))
+            for member in node.body:
+                owners = {node.name} | {f"{node.name}.{m}" for m in _public_definitions(member)}
+                uses.append((owners, _used_names(member)))
+    return [f"{key} ({where})" for key, where in sorted(defined.items())
+            if not any(key.rsplit(".", 1)[-1] in names
+                       for owners, names in uses if key not in owners)]
+
+
+def test_unreferenced_public_name_detector():
+    module = ("LIMIT = 3\nUNUSED = 4\n\n\ndef used():\n    return LIMIT\n\n\n"
+              "def dead():\n    return dead()\n\n\n"
+              "class K:\n    size: int\n    hidden: int = 0\n\n"
+              "    def get(self):\n        return self.size\n\n"
+              "    def unused(self):\n        return K(size=1)\n\n"
+              "    def _private(self):\n        pass\n")
+    users = {"m.py": module, "u.py": "from m import used\n\nused().get()\n"}
+    assert _unreferenced_public_names({"m.py": module}, users) == [
+        "K (m.py:13)", "K.hidden (m.py:15)", "K.unused (m.py:20)", "UNUSED (m.py:2)",
+        "dead (m.py:9)"]
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # Tests keep their own oracles; re-exports in __init__ are no use.
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    users = {str(path.relative_to(ROOT)): path.read_text()
+             for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+             if path.name != "__init__.py"}
+    assert _unreferenced_public_names(package, users) == []
 
 
 def _unset_defaults(package: dict[str, str], callers: list[str]) -> list[str]:

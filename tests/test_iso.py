@@ -26,7 +26,7 @@ def test_random_relabelings_round_trip():
         ok, witness = are_isomorphic(g, h)
         assert ok
         for u, v in g.edges():
-            assert h.has_edge(witness[u], witness[v])
+            assert witness[v] in h.adj[witness[u]]
 
 
 def test_same_degree_sequence_not_isomorphic():
@@ -46,7 +46,7 @@ def test_one_edge_off_random():
         g = random_connected_graph(rng, 8)
         edges = list(g.edges())
         non_edges = [(u, v) for u in range(8) for v in range(u + 1, 8)
-                     if not g.has_edge(u, v)]
+                     if v not in g.adj[u]]
         if not non_edges:
             continue
         moved = edges[:-1] + [rng.choice(non_edges)]
