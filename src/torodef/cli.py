@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Optional, Union
 
 from . import constructions, fileio
-from .embedding import RotationSystem, euler_genus, shortest_noncontractible_cycle
+from .embedding import RotationSystem
 from .generators import (CirculantSpec, GridSpec, InvalidSpec, gen_circulant,
                          gen_grid, gen_named)
 from .graph import Coloring, DefectVector, Graph, verify_coloring
@@ -152,7 +152,7 @@ def cmd_color(args) -> int:
 def cmd_embed_info(args) -> int:
     rot = _load_rotation(args.rotation)
     g = rot.graph
-    genus = euler_genus(rot)  # first, so a degenerate file is rejected before any output
+    genus = rot.genus  # first, so a degenerate file is rejected before any output
     hist = Counter(len(f) for f in rot.faces)
     print(f"V {g.n}")
     print(f"E {g.m}")
@@ -165,7 +165,7 @@ def cmd_embed_info(args) -> int:
 
 def cmd_sncc(args) -> int:
     rot = _load_rotation(args.rotation)
-    cert = shortest_noncontractible_cycle(rot)
+    cert = rot.sncc
     print(f"length {cert.length}")
     print("cycle " + " ".join(str(v + 1) for v in cert.vertices))
     print(f"signature {cert.signature:b}")

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .embedding import (RotationSystem, cut_and_contract, contract_path,
-                        shortest_noncontractible_cycle, shortest_path)
+from .embedding import RotationSystem, cut_and_contract, contract_path, shortest_path
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
                          classify_6regular, gen_circulant, _r_forms)
 from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, degeneracy,
@@ -140,7 +139,7 @@ def _lift(n: int, orig: Sequence[Optional[int]], phi: Coloring) -> list[int]:
 def color_600001(rot: RotationSystem) -> Certificate:
     """Six classes, the last starred: cut along the shortest non-contractible
     cycle, 4-color the planar remainder, spend colors 5 and 6 on the cycle."""
-    cyc = shortest_noncontractible_cycle(rot)
+    cyc = rot.sncc
     cut = cut_and_contract(rot, cyc)
     coloring = _lift(rot.graph.n, cut.orig, _four_color_planar(cut.h, "color_600001"))
     for v, c in zip(cyc.vertices, color_cycle_56(cyc.length)):
@@ -152,7 +151,7 @@ def color_600001(rot: RotationSystem) -> Certificate:
 def color_00002(rot: RotationSystem) -> Certificate:
     """Five classes: planar 4-coloring off the cycle, the whole cycle in
     class 5.  The cycle is chordless, so class 5 induces max degree 2."""
-    cyc = shortest_noncontractible_cycle(rot)
+    cyc = rot.sncc
     cut = cut_and_contract(rot, cyc)
     coloring = _lift(rot.graph.n, cut.orig, _four_color_planar(cut.h, "color_00002"))
     for v in cyc.vertices:
@@ -165,7 +164,7 @@ def color_0004(rot: RotationSystem) -> Certificate:
     """Four classes with one defect-4 class: after the cut, contract a
     shortest path between the two cycle vertices and 4-color the result;
     the cycle plus the path interior share the contracted vertex's color."""
-    cyc = shortest_noncontractible_cycle(rot)
+    cyc = rot.sncc
     cut = cut_and_contract(rot, cyc)
     pstar = shortest_path(cut.h, cut.u, cut.v)
     g2, vstar, orig2 = contract_path(cut.h, pstar)

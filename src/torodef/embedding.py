@@ -35,8 +35,10 @@ def _edge(u: int, v: int) -> Edge:
 class RotationSystem:
     """A graph together with a counterclockwise neighbor order at each vertex.
 
-    The rotation alone determines the faces: :attr:`faces` traces them once
-    per object, and every reader of an embedding's faces goes through it.
+    The rotation alone determines the faces, the genus and, on the torus, the
+    shortest non-contractible cycle.  :attr:`faces`, :attr:`genus` and
+    :attr:`sncc` compute each once per object, and every reader goes through
+    them.
     """
 
     graph: Graph
@@ -54,6 +56,16 @@ class RotationSystem:
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """The facial walks of :func:`trace_faces`, traced on first use and kept."""
         return trace_faces(self)
+
+    @functools.cached_property
+    def genus(self) -> int:
+        """The Euler genus of :func:`euler_genus`, computed on first use and kept."""
+        return euler_genus(self)
+
+    @functools.cached_property
+    def sncc(self) -> CycleCert:
+        """The cycle of :func:`shortest_noncontractible_cycle`, found on first use and kept."""
+        return shortest_noncontractible_cycle(self)
 
 
 @dataclass(frozen=True)
@@ -105,7 +117,8 @@ def euler_genus(rot: RotationSystem) -> int:
 
     Faces (the cached :attr:`RotationSystem.faces`) are traced along darts,
     so a graph without edges has none, and the faces of a disconnected graph
-    lie on several surfaces: both are a ``ValueError``.
+    lie on several surfaces: both are a ``ValueError``.  The package reads it
+    once per rotation system, through the cached :attr:`RotationSystem.genus`.
     """
     g = rot.graph
     if g.m == 0 or not _connected(g):
@@ -139,7 +152,7 @@ def edge_signatures(rot: RotationSystem) -> dict[Edge, int]:
     Degenerate graphs are a ``ValueError``, as in :func:`euler_genus`.
     """
     g = rot.graph
-    eg = euler_genus(rot)
+    eg = rot.genus
     faces = rot.faces
 
     # BFS spanning tree of the primal graph.
@@ -230,59 +243,100 @@ def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
+def _bfs_tree(nbrs: list[list[tuple[int, int]]], root: int, depth_cap: int
+              ) -> tuple[list[int], list[int], list[int], list[int]]:
+    """BFS tree from ``root`` over ``nbrs`` (each neighbor with the signature
+    of its edge) that expands no vertex at depth ``depth_cap``: the reached
+    vertices in BFS order, and per vertex its depth (-1 if not reached), its
+    parent and its prefix signature ``psig``, the signature of the tree path
+    from the root."""
+    n = len(nbrs)
+    order, dist, parent, psig = [root], [-1] * n, [-1] * n, [0] * n
+    dist[root] = 0
+    for u in order:  # the list grows while it is read: a FIFO queue
+        if dist[u] >= depth_cap:
+            break
+        for w, s in nbrs[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                psig[w] = psig[u] ^ s
+                order.append(w)
+    return order, dist, parent, psig
+
+
+def _fundamental_cycle(dist: list[int], parent: list[int], u: int, w: int) -> list[int]:
+    """The cycle that the non-tree edge (u, w) closes through the lowest
+    common ancestor of u and w, as lca .. u, w .. (child of lca)."""
+    up_u, up_w = [u], [w]  # climb the deeper side until both meet at the lca
+    while up_u[-1] != up_w[-1]:
+        deeper = up_u if dist[up_u[-1]] >= dist[up_w[-1]] else up_w
+        deeper.append(parent[deeper[-1]])
+    return up_u[::-1] + up_w[:-1]
+
+
 def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     """Shortest cycle with nonzero homology signature on the torus.
 
-    One BFS tree per root vertex.  Each non-tree edge (u, w) closes the
-    fundamental cycle u .. lca .. w through the lowest common ancestor of u
-    and w; its signature is ``psig[u] ^ psig[w] ^ sig[(u, w)]``, where
-    ``psig[v]`` is the signature of the tree path from the root to v, so
-    contractible candidates are discarded without building a path.  A
-    candidate with ``dist[u] + dist[w] + 1`` above the best length so far is
-    skipped, and so the BFS need not grow past depth ``best // 2``.  Ties are
-    broken by (length, lexicographic canonical vertex sequence).  The output
-    is checked to be induced and to have at most 3 neighbors of any vertex on
-    it, both of which must hold for a genuinely shortest non-contractible
-    cycle.
+    The search is rooted on two crossing cycles.  Root 0's full BFS tree
+    gives, for each nonzero class, its shortest non-contractible fundamental
+    cycle; the fundamental cycles span the homology, so at least two classes
+    occur, and the two shortest cycles C1 and C2 lie in different nonzero
+    classes.  On the torus the Z2 intersection form pairs any two distinct
+    nonzero classes to 1, so every non-contractible cycle meets C1 or C2 at
+    a vertex.  A shortest non-contractible cycle through a root is no longer
+    than the best fundamental cycle of that root's BFS tree (Erickson &
+    Har-Peled, DCG 31, 2004; Cabello & Mohar, DCG 37, 2007), so BFS trees
+    from the vertices of C1 and C2 alone find the shortest length.
+
+    Each non-tree edge (u, w) closes the fundamental cycle u .. lca .. w; its
+    signature is ``psig[u] ^ psig[w] ^ sig[(u, w)]``, so contractible
+    candidates are discarded without building a path.  A candidate with
+    ``dist[u] + dist[w] + 1`` above the best length so far is skipped, and so
+    a root's BFS need not grow past depth ``best // 2``.  Ties are broken by
+    (length, lexicographic canonical vertex sequence) over the candidates of
+    the roots, taken in increasing order.  The output is checked to be
+    induced and to have at most 3 neighbors of any vertex on it, both of
+    which must hold for a genuinely shortest non-contractible cycle.  The
+    package finds it once per rotation system, through the cached
+    :attr:`RotationSystem.sncc`.
     """
     g = rot.graph
-    if euler_genus(rot) != 2:
+    if rot.genus != 2:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
     sig = edge_signatures(rot)
-    nbrs = [sorted(a) for a in g.adj]  # BFS visits smaller neighbors first
-    higher = [[w for w in g.adj[u] if w > u] for u in range(g.n)]  # each edge once
+    # (neighbor, edge signature) pairs, smaller neighbors first as BFS visits them
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    higher: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # each edge once
+    for (u, w), s in sorted(sig.items()):
+        nbrs[u].append((w, s))
+        nbrs[w].append((u, s))
+        higher[u].append((w, s))
+
+    _, dist, parent, psig = _bfs_tree(nbrs, 0, g.n)
+    shortest: dict[int, list[int]] = {}  # nonzero class -> its shortest fundamental cycle
+    for u in range(g.n):
+        for w, s in higher[u]:
+            s ^= psig[u] ^ psig[w]
+            if s:
+                cycle = _fundamental_cycle(dist, parent, u, w)
+                if s not in shortest or len(cycle) < len(shortest[s]):
+                    shortest[s] = cycle
+    c1, c2 = sorted(shortest.values(), key=len)[:2]
 
     best: Optional[tuple[int, tuple[int, ...]]] = None
-    for root in range(g.n):
+    for root in sorted(set(c1) | set(c2)):
         depth_cap = g.n if best is None else best[0] // 2
-        dist = {root: 0}
-        parent = {root: -1}
-        psig = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= depth_cap:
-                break
-            for w in nbrs[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    psig[w] = psig[u] ^ sig[_edge(u, w)]
-                    queue.append(w)
-
-        for u in dist:  # only an edge inside the BFS ball closes a candidate
-            for w in higher[u]:
-                if w not in dist or parent[u] == w or parent[w] == u:
+        order, dist, parent, psig = _bfs_tree(nbrs, root, depth_cap)
+        for u in order:  # only an edge inside the BFS ball closes a candidate
+            for w, s in higher[u]:
+                if dist[w] < 0 or parent[u] == w or parent[w] == u:
                     continue
                 if best is not None and dist[u] + dist[w] + 1 > best[0]:
                     continue
-                if psig[u] ^ psig[w] ^ sig[(u, w)] == 0:
+                if psig[u] ^ psig[w] ^ s == 0:
                     continue
-                up_u, up_w = [u], [w]  # climb the deeper side until both meet at the lca
-                while up_u[-1] != up_w[-1]:
-                    deeper = up_u if dist[up_u[-1]] >= dist[up_w[-1]] else up_w
-                    deeper.append(parent[deeper[-1]])
-                cycle = up_u[::-1] + up_w[:-1]  # lca .. u, w .. (child of lca)
+                cycle = _fundamental_cycle(dist, parent, u, w)
                 key = (len(cycle), _canonical_cycle(cycle))
                 if best is None or key < best:
                     best = key
@@ -341,7 +395,7 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
     induced and non-contractible (``ValueError`` otherwise).
     """
     g = rot.graph
-    if euler_genus(rot) != 2:
+    if rot.genus != 2:
         raise ValueError("cut-and-contract requires Euler genus 2")
     if c.signature == 0:
         raise ValueError("cannot cut along a contractible cycle")
@@ -393,7 +447,7 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
 
     h = build_graph(len(rows), [(a, b) for a, row in enumerate(rows) for b in row if a < b])
     cut = RotationSystem(h, tuple(rows))
-    if euler_genus(cut) != 0:
+    if cut.genus != 0:
         raise AssertionError("cut-and-contract produced a rotation of nonzero genus")
     return CutResult(cut, u_idx, v_idx, tuple(others) + (None, None))
 

@@ -90,7 +90,7 @@ def read_rotation(f: TextIO) -> RotationSystem:
         if not (0 <= v < n) or v in rows:
             raise FormatError(f"bad or repeated vertex {v + 1} in rotation line")
         rows[v] = tuple(int(x) - 1 for x in parts[2:])
-    if set(rows) != set(range(n)):
+    if len(rows) != n:  # rows are distinct and in range, so this is every vertex once
         raise FormatError("rotation must list every vertex exactly once")
     edges = []
     for v, nbrs in rows.items():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .graph import Graph, build_graph, join
-from .embedding import RotationSystem, euler_genus
+from .embedding import RotationSystem
 
 
 class InvalidSpec(ValueError):
@@ -125,7 +125,7 @@ def gen_grid(spec: GridSpec) -> tuple[Graph, RotationSystem]:
             edges.extend((i * n + j, w) for w in nbrs)
     g = build_graph(m * n, edges)
     rot = RotationSystem(g, tuple(rot_rows))
-    if euler_genus(rot) != 2 or any(len(f) != 3 for f in rot.faces):
+    if rot.genus != 2 or any(len(f) != 3 for f in rot.faces):
         raise AssertionError(f"canonical embedding of G[{m}x{n},{k}] is not a torus triangulation")
     return g, rot
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite, including the independent oracles
-(planarity, girth, cycle signatures) that the package itself never calls."""
+(planarity, girth, cycle signatures, the all-roots shortest non-contractible
+cycle) that the package itself never calls."""
 import functools
 import math
 import random
@@ -10,8 +11,8 @@ import pytest
 from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, build_graph,
                      classify_6regular, edge_signatures, euler_genus, gen_circulant, gen_grid,
                      solve, solve_with_precoloring)
-from torodef.embedding import (contract_path, cut_and_contract,
-                               shortest_noncontractible_cycle, shortest_path, walk_signature)
+from torodef.embedding import (_canonical_cycle, contract_path, cut_and_contract, shortest_path,
+                               walk_signature)
 from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
 
 
@@ -65,6 +66,48 @@ def make_cycle_cert(rot: RotationSystem, vertices) -> CycleCert:
         if vs[(i + 1) % len(vs)] not in rot.graph.adj[vs[i]]:
             raise ValueError(f"vertices {vs[i]} and {vs[(i + 1) % len(vs)]} not adjacent")
     return CycleCert(vs, walk_signature(edge_signatures(rot), vs))
+
+
+def sncc_all_roots(rot: RotationSystem) -> tuple[int, ...]:
+    """The vertices of the shortest non-contractible cycle, searched from
+    every root: the package's capped per-root loop and tie-break, without
+    its restriction to the roots on two crossing cycles."""
+    g = rot.graph
+    assert euler_genus(rot) == 2
+    sig = edge_signatures(rot)
+    nbrs = [sorted(a) for a in g.adj]
+    higher = [[w for w in g.adj[u] if w > u] for u in range(g.n)]
+    best = None
+    for root in range(g.n):
+        depth_cap = g.n if best is None else best[0] // 2
+        dist, parent, psig = {root: 0}, {root: -1}, {root: 0}
+        queue = [root]
+        for u in queue:
+            if dist[u] >= depth_cap:
+                break
+            for w in nbrs[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    psig[w] = psig[u] ^ sig[(min(u, w), max(u, w))]
+                    queue.append(w)
+        for u in dist:
+            for w in higher[u]:
+                if w not in dist or parent[u] == w or parent[w] == u:
+                    continue
+                if best is not None and dist[u] + dist[w] + 1 > best[0]:
+                    continue
+                if psig[u] ^ psig[w] ^ sig[(u, w)] == 0:
+                    continue
+                up_u, up_w = [u], [w]
+                while up_u[-1] != up_w[-1]:
+                    deeper = up_u if dist[up_u[-1]] >= dist[up_w[-1]] else up_w
+                    deeper.append(parent[deeper[-1]])
+                cycle = up_u[::-1] + up_w[:-1]
+                key = (len(cycle), _canonical_cycle(cycle))
+                if best is None or key < best:
+                    best = key
+    return best[1]
 
 
 def all_valid_grids(max_vertices: int):
@@ -169,7 +212,7 @@ def cut_observations(rot: RotationSystem) -> list:
     independent planarity test.
     """
     g = rot.graph
-    cyc = shortest_noncontractible_cycle(rot)
+    cyc = rot.sncc
     on_cycle = set(cyc.vertices)
     failures = []
     # Induced: consecutive cycle vertices adjacent, no chords.

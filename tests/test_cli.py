@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 import io
+import tracemalloc
 
 import pytest
 
@@ -71,6 +72,18 @@ def test_format_errors():
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\ncolor 1 2\nmono 0\n"))
     with pytest.raises(fileio.FormatError):  # a repeated mono line, not an overwrite
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\nmono 5\nmono 0\n"))
+
+
+def test_rotation_header_vertex_count_is_checked_against_the_rows():
+    # The rows are counted before anything of the announced size is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(fileio.FormatError):
+            fileio.read_rotation(io.StringIO("p rot 100000 0\nr 1\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_comments_and_blank_lines_are_ignored():

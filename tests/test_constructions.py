@@ -16,7 +16,7 @@ from torodef import (SAT, CirculantSpec, DefectVector, GridSpec, build_graph,
                      classify_6regular, cut_and_contract, gen_circulant, gen_grid,
                      gen_named, induced_subgraph, shortest_noncontractible_cycle, solve,
                      verify_coloring)
-from torodef import constructions, generators
+from torodef import constructions, embedding, generators
 from torodef.constructions import (PipelineError, _four_color_planar, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
                                    color_6regular, color_0003_high_min_degree,
@@ -167,6 +167,23 @@ def test_pipelines_on_irregular_tori():
             cert = op(rot)
             assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
     assert time.perf_counter() - t0 < 20
+
+
+def test_pipelines_share_one_cycle_at_desk_scale(monkeypatch):
+    calls = []
+
+    def counting(rot, real=embedding.shortest_noncontractible_cycle):
+        calls.append(rot)
+        return real(rot)
+
+    monkeypatch.setattr(embedding, "shortest_noncontractible_cycle", counting)
+    t0 = time.perf_counter()
+    _, rot = gen_grid(GridSpec(40, 40, 9))
+    for op in PIPELINES:
+        cert = op(rot)
+        assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
+    assert calls == [rot]  # the rotation system keeps its cycle
+    assert time.perf_counter() - t0 < 10
 
 
 def test_pipelines_certify_planarity_without_networkx():

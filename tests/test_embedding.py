@@ -11,7 +11,7 @@ from torodef.embedding import (RotationSystem, cut_and_contract, contract_path,
                                shortest_path, trace_faces, walk_signature)
 from torodef.cli import parse_family_token
 from .conftest import (all_valid_grids, cut_observations, girth, irregular_torus,
-                       make_cycle_cert, planarity_check)
+                       make_cycle_cert, planarity_check, sncc_all_roots)
 
 K4_PLANAR_ROT = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
@@ -88,24 +88,35 @@ def test_each_rotation_system_is_traced_once(monkeypatch, tmp_path, capsys):
     for module in (embedding, generators, cli):  # every binding a module may call
         if hasattr(module, "trace_faces"):
             monkeypatch.setattr(module, "trace_faces", counting)
+    # The genus is kept with the faces: one connectivity check per trace.
+    checks = []
+
+    def checking(g, real=embedding._connected):
+        checks.append(g)
+        return real(g)
+
+    monkeypatch.setattr(embedding, "_connected", checking)
 
     color_600001(RotationSystem(grid.graph, grid.rot))
-    assert len(calls) == 2  # the input, and the cut graph's genus-0 certificate
+    assert len(calls) == len(checks) == 2  # the input, and the cut graph's genus-0 certificate
 
     calls.clear()
+    checks.clear()
     rot = RotationSystem(grid.graph, grid.rot)
     for pipeline in (color_600001, color_00002, color_0004):
         pipeline(rot)
-    assert len(calls) == 4  # the input once, and three cut certificates
+    assert len(calls) == len(checks) == 4  # the input once, and three cut certificates
     assert calls[0] is rot
 
     calls.clear()
+    checks.clear()
     gen_grid(GridSpec(7, 7, 3))
-    assert len(calls) == 1
+    assert len(calls) == len(checks) == 1
 
     calls.clear()
+    checks.clear()
     assert cli.main(["embed-info", path]) == 0
-    assert len(calls) == 1
+    assert len(calls) == len(checks) == 1
     capsys.readouterr()
 
 
@@ -294,6 +305,17 @@ def test_cut_observations_on_irregular_tori():
     failures = [(seed, *f) for seed in CUT_SEEDS for f in cut_observations(irregular_torus(seed))]
     assert not failures
     assert time.perf_counter() - t0 < 20
+
+
+def test_sncc_matches_the_all_roots_search():
+    # Rooting the search on two crossing cycles keeps the shortest length;
+    # the tie-break among shortest cycles matches the all-roots search here.
+    rots = [gen_grid(spec)[1] for spec in all_valid_grids(49)[::5]]
+    rots += [irregular_torus(seed) for seed in CUT_SEEDS]
+    assert len(rots) == 416
+    differ = [i for i, rot in enumerate(rots)
+              if shortest_noncontractible_cycle(rot).vertices != sncc_all_roots(rot)]
+    assert differ == []
 
 
 def test_shortest_path_and_contract_path():
