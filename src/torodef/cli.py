@@ -2,7 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 success/SAT/valid, 1
 UNSAT/invalid, 2 usage or format error, 3 search gave up (indeterminate,
-or the recursive search hit Python's recursion limit).
+or the isomorphism test's recursive extension hit Python's recursion
+limit).
 """
 from __future__ import annotations
 

@@ -154,7 +154,10 @@ def test_solve_exit_codes_and_certificates(tmp_path, capsys):
     assert run(["verify", t11 + ".g", cert]) == 0
     assert run(["solve", t11 + ".g", "--defects", "junk"]) == 2
     assert run(["solve", k7 + ".g", "--defects", "0,0,0,0,0,0", "--budget", "3"]) == 3
+    assert run(["solve", k7 + ".g", "--defects", "0,0,0,0,0,0", "--budget", "0"]) == 3
     capsys.readouterr()
+    assert run(["solve", k7 + ".g", "--defects", "0,0,0,0,0,0", "--budget=-5"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_solve_star_mono_count(tmp_path, capsys):
@@ -189,13 +192,14 @@ def test_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_recursion_limit_exits_3(tmp_path, capsys):
+def test_solve_deep_cycle_is_sat(tmp_path, capsys):
+    # The search keeps its own stack, so depth 1500 is no limit.
     c1500 = str(tmp_path / "c1500")
     run(["gen", "c1500", "--output", c1500])
+    cert = str(tmp_path / "c1500.cert")
+    assert run(["solve", c1500 + ".g", "--defects", "0,0", "--output", cert]) == 0
+    assert run(["verify", c1500 + ".g", cert]) == 0
     capsys.readouterr()
-    # The recursive search runs out of stack on a 1500-vertex cycle: it gave up.
-    assert run(["solve", c1500 + ".g", "--defects", "0,0"]) == 3
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_color_exits_3_when_the_planar_budget_runs_out(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from torodef import (DefectVector, INDETERMINATE, SAT, UNSAT, build_graph,
-                     enumerate_oracle, gen_named, solve, solve_with_precoloring,
-                     verify_coloring)
+from torodef import (CirculantSpec, DefectVector, INDETERMINATE, SAT, UNSAT, build_graph,
+                     enumerate_oracle, gen_circulant, gen_named, solve,
+                     solve_with_precoloring, verify_coloring)
 from .conftest import random_connected_graph
 
 
@@ -106,6 +106,48 @@ def test_node_budget_gives_indeterminate():
     res = solve(k7, DefectVector.parse("0,0,0,0,0,0"), node_budget=3)
     assert res.status == INDETERMINATE
     assert res.coloring is None
+    with pytest.raises(ValueError):
+        solve(k7, DefectVector.parse("0,0,0,0,0,0"), node_budget=-5)
+
+
+def test_search_order_is_pinned():
+    # (status, nodes) fix the branching order: a change to the vertex choice
+    # or the class order moves these counts before it moves any certificate.
+    def circ(n, offsets):
+        return gen_circulant(CirculantSpec(n, frozenset(offsets)))
+    k7, t11 = gen_named("k7")[0], gen_named("t11")[0]
+    # G_25[1,6,7] less vertex 0 is not regular, so the degree tie-break counts.
+    g25 = circ(25, {1, 6, 7})
+    punctured = build_graph(24, [(u - 1, v - 1) for u, v in g25.edges() if u and v])
+    pins = [(circ(19, {1, 7, 8}), "0,0,0,1*", UNSAT, 4505),
+            (circ(18, {1, 3, 4}), "0,0,0,1*", UNSAT, 4362),
+            (circ(35, {1, 2, 3}), "0,0,0,1*", UNSAT, 1608),
+            (g25, "0,0,0,0", UNSAT, 3021),
+            (punctured, "0,0,0,0", SAT, 184),
+            (t11, "0,0,0,2", SAT, 43),
+            (k7, "0,0,0,3", SAT, 7),
+            (k7, "0,0,0,1*,1*", SAT, 7),
+            (k7, "0,0,0,0,0,0", UNSAT, 6)]
+    for g, d, status, nodes in pins:
+        res = solve(g, DefectVector.parse(d))
+        assert (res.status, res.nodes) == (status, nodes), d
+
+
+def test_budget_and_precoloring_invariants():
+    rng = random.Random(20261019)
+    tokens = ("0", "1", "2", "1*")
+    for _ in range(150):
+        g = random_connected_graph(rng, rng.randrange(2, 10))
+        d = DefectVector.parse(",".join(rng.choice(tokens) for _ in range(rng.randrange(1, 5))))
+        pre = {v: rng.randrange(1, d.k + 1) for v in range(g.n) if rng.random() < 0.25}
+        full = solve_with_precoloring(g, pre, d)
+        assert full.status != INDETERMINATE
+        assert solve_with_precoloring(g, pre, d, node_budget=full.nodes) == full
+        if full.nodes > 0:
+            cut = solve_with_precoloring(g, pre, d, node_budget=full.nodes - 1)
+            assert (cut.status, cut.coloring, cut.nodes) == (INDETERMINATE, None, full.nodes)
+        if full.status == SAT:
+            assert all(full.coloring[v] == c for v, c in pre.items())
 
 
 def test_oracle_refuses_oversized_instances():
