@@ -2,8 +2,7 @@
 
 Exit codes are uniform across subcommands: 0 success/SAT/valid, 1
 UNSAT/invalid, 2 usage or format error, 3 search gave up (indeterminate,
-or the isomorphism test's recursive extension hit Python's recursion
-limit).
+or a pipeline's budget ran out).
 """
 from __future__ import annotations
 
@@ -307,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, InvalidSpec, fileio.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (constructions.PipelineError, RecursionError) as exc:
+    except constructions.PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

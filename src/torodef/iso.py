@@ -1,9 +1,18 @@
-"""Graph isomorphism for desk-scale graphs (up to roughly 40 vertices).
+"""Graph isomorphism by individualization-refinement (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).
 
-Iterative degree/neighborhood refinement narrows candidate images, then a
-backtracking matcher extends a partial bijection along edges.  Any witness
-returned has been re-checked for adjacency preservation in both directions.
-No external canonical-labeling tool is used.
+Colour refinement runs on the disjoint union of the two graphs, g2's
+vertex x standing at index n + x, so one cell is a colour class of both
+halves at once; a branch dies as soon as some cell holds a different
+number of vertices from each half.  Refinement is driven by a worklist of
+split cells: a cell taken from it costs the edges at its vertices, and
+only the vertices those edges reach are moved.  Where the equitable
+partition is not discrete, the first g1 vertex of the smallest non-trivial
+cell is individualized against each g2 vertex of that cell in turn, on an
+explicit stack.  A discrete partition pairs each g1 vertex with one g2
+vertex; that bijection is re-checked for adjacency preservation in both
+directions before it is returned.  No external canonical-labeling tool is
+used.
 """
 from __future__ import annotations
 
@@ -12,16 +21,40 @@ from typing import Optional
 from .graph import Graph
 
 
-def _refine(g: Graph) -> list[int]:
-    """Stable coloring by iterated neighbor-color multisets (1-WL)."""
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in g.adj[v]))) for v in range(g.n)]
-        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [relabel[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: list, n: int, cells: list, col: list, queue: list) -> bool:
+    """Split ``cells`` (sets of union vertices; ``col`` maps a vertex to
+    its cell's index) until the partition is equitable.  A cell taken from
+    ``queue`` splits every cell by neighbour counts into it.  The largest
+    piece keeps the old index and the others are queued.  False as soon as
+    some piece is unbalanced."""
+    while queue:
+        count: dict[int, int] = {}
+        for w in cells[queue.pop()]:
+            for u in adj[w]:
+                count[u] = count.get(u, 0) + 1
+        hits: dict[int, dict[int, set[int]]] = {}
+        for u, k in count.items():
+            hits.setdefault(col[u], {}).setdefault(k, set()).add(u)
+        for c in sorted(hits):
+            cell, parts = cells[c], hits[c]
+            if len(parts) == 1 and sum(map(len, parts.values())) == len(cell):
+                continue
+            for part in parts.values():
+                if 2 * sum(u < n for u in part) != len(part):
+                    return False
+                cell -= part
+            if cell:
+                parts[0] = cell  # the vertices with no neighbour in the splitter
+            keys = sorted(parts)
+            keep = max(keys, key=lambda k: len(parts[k]))
+            cells[c] = parts[keep]
+            for k in keys:
+                if k != keep:
+                    for u in parts[k]:
+                        col[u] = len(cells)
+                    queue.append(len(cells))
+                    cells.append(parts[k])
+    return True
 
 
 def _check_witness(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
@@ -34,74 +67,38 @@ def _check_witness(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> tuple[bool, Optional[dict[int, int]]]:
-    """Decide isomorphism; on success also return a certified bijection.
-
-    Intended for small graphs; beyond a few dozen vertices it may be slow
-    but stays correct.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
+    """Decide isomorphism; on success also return a certified bijection."""
+    n = g1.n
+    if n != g2.n or g1.m != g2.m:
         return False, None
-    if sorted(g1.degree(v) for v in range(g1.n)) != sorted(g2.degree(v) for v in range(g2.n)):
-        return False, None
-
-    c1, c2 = _refine(g1), _refine(g2)
-    if sorted(c1) != sorted(c2):
-        return False, None
-
-    # Order g1's vertices so each one (when possible) touches an earlier one;
-    # candidate images are then constrained through mapped neighbors.
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in range(g1.n):
-        if start in seen:
+    adj = [list(a) for a in g1.adj] + [[n + w for w in a] for a in g2.adj]
+    # twin[x]: the first g2 vertex with x's open or closed neighbourhood.
+    # Swapping twins is an automorphism of g2 that fixes the partition, so
+    # a cell needs one branch per twin class.
+    first: dict[frozenset, int] = {}
+    twin = [first.setdefault(a, first.setdefault(a | {x}, x)) for x, a in enumerate(g2.adj)]
+    # Each entry is a partition and the (g1, g2) pair to individualize in
+    # it; a popped entry is copied, so siblings share their parent's lists.
+    stack = [([set(range(2 * n))], [0] * (2 * n), None)]
+    while stack:
+        cells, col, pair = stack.pop()
+        cells, col = [set(c) for c in cells], col[:]
+        if pair:
+            cells[col[pair[0]]].difference_update(pair)
+            cells.append(set(pair))
+            col[pair[0]] = col[pair[1]] = len(cells) - 1
+        if not _refine(adj, n, cells, col, [len(cells) - 1]):
             continue
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in sorted(g1.adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        mapped_nbrs = [w for w in g1.adj[v] if w in mapping]
-        if mapped_nbrs:
-            cands = set(g2.adj[mapping[mapped_nbrs[0]]])
-        else:
-            cands = set(range(g2.n))
-        for x in sorted(cands):
-            if x in used or c1[v] != c2[x]:
-                continue
-            ok = True
-            for w in g1.adj[v]:
-                if w in mapping and mapping[w] not in g2.adj[x]:
-                    ok = False
-                    break
-            if ok:
-                for w in range(g1.n):
-                    if w in mapping and w not in g1.adj[v] and mapping[w] in g2.adj[x]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = x
-            used.add(x)
-            if extend(pos + 1):
-                return True
-            del mapping[v]
-            used.remove(x)
-        return False
-
-    if extend(0):
-        if not _check_witness(g1, g2, mapping):
-            raise AssertionError("isomorphism witness failed re-check")
-        return True, dict(mapping)
+        open_cells = [c for c in cells if len(c) > 2]
+        if not open_cells:
+            mapping = {min(c): max(c) - n for c in cells if c}
+            if not _check_witness(g1, g2, mapping):
+                raise AssertionError("isomorphism witness failed re-check")
+            return True, mapping
+        cell = min(open_cells, key=len)
+        v = min(cell)
+        reps: dict[int, int] = {}
+        for x in sorted(u for u in cell if u >= n):
+            reps.setdefault(twin[x - n], x)
+        stack.extend((cells, col, (v, x)) for x in sorted(reps.values(), reverse=True))
     return False, None

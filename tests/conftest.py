@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, including the independent oracles
 (planarity, girth, cycle signatures, the all-roots shortest non-contractible
-cycle) that the package itself never calls."""
+cycle, brute-force isomorphism) that the package itself never calls."""
 import functools
+import itertools
 import math
 import random
 
@@ -166,6 +167,16 @@ def random_connected_graph(rng: random.Random, n: int):
     rng.shuffle(candidates)
     edges.update(candidates[:extra])
     return build_graph(n, sorted(edges))
+
+
+def brute_force_isomorphic(g, h) -> bool:
+    """Isomorphism by trying every bijection (desk scale: 8 vertices or
+    fewer), independent of the package's individualization-refinement."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    edges = list(g.edges())
+    return any(all(p[v] in h.adj[p[u]] for u, v in edges)
+               for p in itertools.permutations(range(g.n)))
 
 
 def admits_mono_at_most(g, b: int) -> bool:

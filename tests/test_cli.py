@@ -1,10 +1,11 @@
 """File formats and the command-line front end."""
 import io
+import random
 import tracemalloc
 
 import pytest
 
-from torodef import DefectVector, gen_grid, gen_named, verify_coloring
+from torodef import DefectVector, build_graph, gen_grid, gen_named, verify_coloring
 from torodef.generators import CirculantSpec, GridSpec
 from torodef import cli, constructions, fileio, generators
 from torodef.cli import build_parser, main, parse_family_token
@@ -278,6 +279,16 @@ def test_color_6reg_builds_the_spec_graph_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_color_6reg_on_grid_7x7_1(tmp_path, capsys):
+    # The grid is placed by isomorphism against the order-49 exceptions.
+    cert = str(tmp_path / "cert")
+    assert run(["color", "grid:7x7,1", "--construction", "6reg", "--output", cert]) == 0
+    coloring, d, _ = fileio.read_certificate(open(cert))
+    assert str(d) == "0,0,0,0"
+    assert verify_coloring(gen_grid(GridSpec(7, 7, 1))[0], coloring, d).valid
+    capsys.readouterr()
+
+
 def test_embed_info_and_sncc(tmp_path, capsys):
     t11 = str(tmp_path / "t11")
     run(["gen", "t11", "--output", t11])
@@ -336,6 +347,27 @@ def test_iso_command(tmp_path, capsys):
     assert out.startswith("isomorphic yes")
     assert run(["iso", a + ".g", c + ".g"]) == 1
     capsys.readouterr()
+
+
+def test_iso_deep_cycle_gives_a_witness(tmp_path, capsys):
+    # The matcher keeps its own stack, so a 1500-vertex cycle is no limit.
+    c1500 = str(tmp_path / "c1500")
+    run(["gen", "c1500", "--output", c1500])
+    g = fileio.read_graph(open(c1500 + ".g"))
+    perm = list(range(g.n))
+    random.Random(3).shuffle(perm)
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    shuffled = str(tmp_path / "shuffled.g")
+    with open(shuffled, "w") as f:
+        fileio.write_graph(h, f)
+    capsys.readouterr()
+    assert run(["iso", c1500 + ".g", shuffled]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "isomorphic yes" and len(out) == 1 + g.n
+    mapping = {int(a) - 1: int(b) - 1 for _, a, b in (line.split() for line in out[1:])}
+    assert sorted(mapping) == list(range(g.n))
+    assert sorted(mapping.values()) == list(range(g.n))
+    assert all(mapping[v] in h.adj[mapping[u]] for u, v in g.edges())
 
 
 def test_table1_command(capsys):

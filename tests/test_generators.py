@@ -175,6 +175,24 @@ def test_classifier_matches_exact_search_on_circulant_families():
             classify_against_search(spec)
 
 
+def test_every_multi_column_grid_up_to_49_vertices_classifies():
+    # The isomorphism search places each grid at desk scale; an exception
+    # verdict's witness maps its listed graph's edges onto the grid's.
+    specs = [spec for spec in all_valid_grids(49) if spec.n > 1]
+    assert len(specs) == 602
+    for spec in specs:
+        cls = classify_6regular(spec)
+        if cls.witness is None:
+            continue
+        w = cls.witness
+        assert sorted(w) == list(range(cls.graph.n)), spec.token()
+        assert any(all(w[v] in cls.graph.adj[w[u]] for u, v in listed.edges())
+                   for listed, case, cspec in _exception_graphs(cls.graph.n)
+                   if (case, cspec) == (cls.case, cls.reduced)), spec.token()
+    for spec in (GridSpec(5, 5, 1), GridSpec(7, 7, 1)):
+        assert classify_6regular(spec).four_colorable, spec.token()
+
+
 def test_classifier_known_verdicts():
     assert classify_6regular(CirculantSpec(12, frozenset({1, 2, 3}))).four_colorable
     assert not classify_6regular(CirculantSpec(13, frozenset({1, 2, 3}))).four_colorable
