@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .embedding import RotationSystem, cut_and_contract, contract_path, shortest_path
+from .embedding import RotationSystem, contract_path, shortest_path
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
                          classify_6regular, gen_circulant, _r_forms)
 from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, degeneracy,
@@ -140,7 +140,7 @@ def color_600001(rot: RotationSystem) -> Certificate:
     """Six classes, the last starred: cut along the shortest non-contractible
     cycle, 4-color the planar remainder, spend colors 5 and 6 on the cycle."""
     cyc = rot.sncc
-    cut = cut_and_contract(rot, cyc)
+    cut = rot.cut
     coloring = _lift(rot.graph.n, cut.orig, _four_color_planar(cut.h, "color_600001"))
     for v, c in zip(cyc.vertices, color_cycle_56(cyc.length)):
         coloring[v] = c
@@ -151,10 +151,9 @@ def color_600001(rot: RotationSystem) -> Certificate:
 def color_00002(rot: RotationSystem) -> Certificate:
     """Five classes: planar 4-coloring off the cycle, the whole cycle in
     class 5.  The cycle is chordless, so class 5 induces max degree 2."""
-    cyc = rot.sncc
-    cut = cut_and_contract(rot, cyc)
+    cut = rot.cut
     coloring = _lift(rot.graph.n, cut.orig, _four_color_planar(cut.h, "color_00002"))
-    for v in cyc.vertices:
+    for v in rot.sncc.vertices:
         coloring[v] = 5
     d = DefectVector.of(0, 0, 0, 0, 2)
     return make_certificate(rot.graph, tuple(coloring), d, "00002")
@@ -164,8 +163,7 @@ def color_0004(rot: RotationSystem) -> Certificate:
     """Four classes with one defect-4 class: after the cut, contract a
     shortest path between the two cycle vertices and 4-color the result;
     the cycle plus the path interior share the contracted vertex's color."""
-    cyc = rot.sncc
-    cut = cut_and_contract(rot, cyc)
+    cut = rot.cut
     pstar = shortest_path(cut.h, cut.u, cut.v)
     g2, vstar, orig2 = contract_path(cut.h, pstar)
     phi = _four_color_planar(g2, "color_0004")
@@ -173,7 +171,7 @@ def color_0004(rot: RotationSystem) -> Certificate:
     # Colors of vertices surviving both stages flow back through both maps.
     coloring = _lift(rot.graph.n, [None if hv is None else cut.orig[hv] for hv in orig2], phi)
     star_color = phi[vstar]
-    defect_class = set(cyc.vertices)
+    defect_class = set(rot.sncc.vertices)
     for p in pstar[1:-1]:
         defect_class.add(cut.orig[p])
     for gv in defect_class:

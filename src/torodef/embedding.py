@@ -7,7 +7,8 @@ tree-cotree decomposition, finds shortest non-contractible cycles, and
 implements the two surgeries the coloring pipelines need: cutting the torus
 along a non-contractible cycle and contracting both copies to single
 vertices, with a genus-0 rotation system that certifies the result planar,
-and contracting a path into one vertex.
+and contracting a path into one vertex.  A rotation system keeps its faces,
+genus, shortest non-contractible cycle and cut once computed.
 
 Homology signatures are bitmasks over the ``eg`` leftover edges of the
 tree-cotree decomposition; a cycle on the torus is contractible exactly
@@ -17,7 +18,6 @@ Z2-null-homologous).
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,9 +36,9 @@ class RotationSystem:
     """A graph together with a counterclockwise neighbor order at each vertex.
 
     The rotation alone determines the faces, the genus and, on the torus, the
-    shortest non-contractible cycle.  :attr:`faces`, :attr:`genus` and
-    :attr:`sncc` compute each once per object, and every reader goes through
-    them.
+    shortest non-contractible cycle and the cut along it.  :attr:`faces`,
+    :attr:`genus`, :attr:`sncc` and :attr:`cut` compute each once per object,
+    and every reader goes through them.
     """
 
     graph: Graph
@@ -66,6 +66,11 @@ class RotationSystem:
     def sncc(self) -> CycleCert:
         """The cycle of :func:`shortest_noncontractible_cycle`, found on first use and kept."""
         return shortest_noncontractible_cycle(self)
+
+    @functools.cached_property
+    def cut(self) -> CutResult:
+        """The cut of :func:`cut_and_contract` along :attr:`sncc`, made on first use and kept."""
+        return cut_and_contract(self, self.sncc)
 
 
 @dataclass(frozen=True)
@@ -130,17 +135,12 @@ def euler_genus(rot: RotationSystem) -> int:
 
 
 def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return g.n == 0 or len(_bfs_tree(_unsigned(g), 0, g.n)[0]) == g.n
+
+
+def _unsigned(g: Graph) -> list[list[tuple[int, int]]]:
+    """Neighbor lists for :func:`_bfs_tree`, sorted and with signature 0."""
+    return [[(w, 0) for w in sorted(g.adj[u])] for u in range(g.n)]
 
 
 def edge_signatures(rot: RotationSystem) -> dict[Edge, int]:
@@ -156,39 +156,28 @@ def edge_signatures(rot: RotationSystem) -> dict[Edge, int]:
     faces = rot.faces
 
     # BFS spanning tree of the primal graph.
-    tree: set[Edge] = set()
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(g.adj[u]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(_edge(u, w))
-                queue.append(w)
+    parent = _bfs_tree(_unsigned(g), 0, g.n)[2]
+    tree = {_edge(v, p) for v, p in enumerate(parent) if p >= 0}
 
     face_of = {dart: fi for fi, walk in enumerate(faces) for dart in walk}
 
     # Spanning tree of the dual restricted to non-tree edges (the cotree).
     dual_parent_edge: dict[int, Edge] = {}
-    dual_order: list[int] = []
+    dual_order = [0]
     dseen = {0}
-    dqueue = deque([0])
     nontree = [e for e in g.edges() if e not in tree]
     incident: dict[int, list[Edge]] = {}
     for u, v in nontree:
         for f in (face_of[(u, v)], face_of[(v, u)]):
             incident.setdefault(f, []).append((u, v))
-    while dqueue:
-        f = dqueue.popleft()
-        dual_order.append(f)
+    for f in dual_order:  # the list grows while it is read: a FIFO queue
         for e in incident.get(f, []):
             u, v = e
             for f2 in (face_of[(u, v)], face_of[(v, u)]):
                 if f2 not in dseen:
                     dseen.add(f2)
                     dual_parent_edge[f2] = e
-                    dqueue.append(f2)
+                    dual_order.append(f2)
     if len(dseen) != len(faces):
         raise AssertionError("dual graph disconnected under non-tree edges")
 
@@ -392,7 +381,9 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
     successor counterclockwise to the predecessor) lists its arcs in reverse
     cycle order, the other side in forward order.  Of parallel copies, the
     one at the earliest cycle vertex is kept at both ends.  The cycle must be
-    induced and non-contractible (``ValueError`` otherwise).
+    induced and non-contractible (``ValueError`` otherwise).  The package
+    cuts each rotation system once, along its cycle, through the cached
+    :attr:`RotationSystem.cut`.
     """
     g = rot.graph
     if rot.genus != 2:
@@ -457,17 +448,8 @@ def shortest_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
     neighbor indices first."""
     if u == v:
         raise ValueError("endpoints must differ")
-    parent = {u: -1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for w in sorted(g.adj[x]):
-            if w not in parent:
-                parent[w] = x
-                queue.append(w)
-    if v not in parent:
+    _, dist, parent, _ = _bfs_tree(_unsigned(g), u, g.n)
+    if not 0 <= v < g.n or dist[v] < 0:
         raise ValueError(f"vertex {v} unreachable from {u}")
     path = [v]
     while path[-1] != u:

@@ -12,8 +12,7 @@ import pytest
 from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, build_graph,
                      classify_6regular, edge_signatures, euler_genus, gen_circulant, gen_grid,
                      solve, solve_with_precoloring)
-from torodef.embedding import (_canonical_cycle, contract_path, cut_and_contract, shortest_path,
-                               walk_signature)
+from torodef.embedding import _canonical_cycle, contract_path, shortest_path, walk_signature
 from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
 
 
@@ -235,7 +234,7 @@ def cut_observations(rot: RotationSystem) -> list:
     for v in range(g.n):
         if v not in on_cycle and sum(1 for w in g.adj[v] if w in on_cycle) > 3:
             failures.append(("vertex with >3 cycle neighbors", v))
-    cut = cut_and_contract(rot, cyc)
+    cut = rot.cut
     if euler_genus(cut.rot) != 0:
         failures.append(("cut rotation not of genus 0",))
     if not planarity_check(cut.h):

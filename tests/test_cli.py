@@ -13,15 +13,6 @@ from torodef.cli import build_parser, main, parse_family_token
 
 # --- formats ----------------------------------------------------------------
 
-def _round_trip_bytes(write, read):
-    buf = io.StringIO()
-    write(buf)
-    text = buf.getvalue()
-    value = read(io.StringIO(text))
-    buf2 = io.StringIO()
-    return text, value, buf2
-
-
 def test_graph_file_round_trip_is_byte_stable():
     g = gen_named("t11")[0]
     buf = io.StringIO()

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import torodef
 from torodef import (SAT, CirculantSpec, DefectVector, GridSpec, build_graph,
-                     classify_6regular, cut_and_contract, gen_circulant, gen_grid,
-                     gen_named, induced_subgraph, shortest_noncontractible_cycle, solve,
-                     verify_coloring)
+                     classify_6regular, gen_circulant, gen_grid, gen_named, induced_subgraph,
+                     solve, verify_coloring)
 from torodef import constructions, embedding, generators
 from torodef.constructions import (PipelineError, _four_color_planar, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
@@ -133,7 +132,7 @@ def test_exact_fallback_colors_the_heuristic_misses(spec, monkeypatch):
 def _corpus_cut_graphs():
     specs = all_valid_grids(49)[::97] + list(HEURISTIC_MISSES)
     rots = [gen_grid(s)[1] for s in specs] + [gen_named("t11")[1]]
-    return [cut_and_contract(rot, shortest_noncontractible_cycle(rot)).h for rot in rots]
+    return [rot.cut.h for rot in rots]
 
 
 @settings(deadline=None)
@@ -170,19 +169,25 @@ def test_pipelines_on_irregular_tori():
 
 
 def test_pipelines_share_one_cycle_at_desk_scale(monkeypatch):
-    calls = []
+    calls, cuts = [], []
 
     def counting(rot, real=embedding.shortest_noncontractible_cycle):
         calls.append(rot)
         return real(rot)
 
+    def cutting(rot, c, real=embedding.cut_and_contract):
+        cuts.append(rot)
+        return real(rot, c)
+
     monkeypatch.setattr(embedding, "shortest_noncontractible_cycle", counting)
+    monkeypatch.setattr(embedding, "cut_and_contract", cutting)
     t0 = time.perf_counter()
     _, rot = gen_grid(GridSpec(40, 40, 9))
     for op in PIPELINES:
         cert = op(rot)
         assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
     assert calls == [rot]  # the rotation system keeps its cycle
+    assert cuts == [rot]  # and its cut
     assert time.perf_counter() - t0 < 10
 
 

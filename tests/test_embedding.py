@@ -105,7 +105,7 @@ def test_each_rotation_system_is_traced_once(monkeypatch, tmp_path, capsys):
     rot = RotationSystem(grid.graph, grid.rot)
     for pipeline in (color_600001, color_00002, color_0004):
         pipeline(rot)
-    assert len(calls) == len(checks) == 4  # the input once, and three cut certificates
+    assert len(calls) == len(checks) == 2  # the input once, and its one cut's certificate
     assert calls[0] is rot
 
     calls.clear()
@@ -321,6 +321,12 @@ def test_sncc_matches_the_all_roots_search():
 def test_shortest_path_and_contract_path():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     assert shortest_path(g, 0, 3) == (0, 1, 3)
+    unreachable = build_graph(4, [(0, 1), (2, 3)])
+    for v in (2, 4, -1):  # another component, or no vertex at all
+        with pytest.raises(ValueError, match="unreachable"):
+            shortest_path(unreachable, 0, v)
+    with pytest.raises(ValueError, match="differ"):
+        shortest_path(g, 2, 2)
     g2, vstar, orig = contract_path(g, (0, 1, 3))
     assert g2.n == 3
     assert orig[vstar] is None

@@ -2,7 +2,8 @@
 imports only the standard library and itself, every private module-level
 function is used somewhere in the package, every public name is used by the
 package or the benchmark, every defaulted parameter of a package function is
-set by some call, and only ``RotationSystem.faces`` traces faces."""
+set by some call, and only the rotation system's cached properties compute
+what it keeps: its faces, genus, shortest non-contractible cycle and cut."""
 import ast
 import sys
 from pathlib import Path
@@ -229,9 +230,15 @@ def test_every_default_is_set_by_some_call():
     assert _unset_defaults(package, callers) == []
 
 
-def _trace_faces_calls(sources: dict[str, str]) -> list[str]:
-    """Calls of ``trace_faces`` in ``sources`` made anywhere but in the body
-    of ``RotationSystem.faces``, as module:line (enclosing scope)."""
+# Each function whose result a rotation system keeps, and the one scope that calls it.
+KEPT_BY = {"trace_faces": "RotationSystem.faces", "euler_genus": "RotationSystem.genus",
+           "shortest_noncontractible_cycle": "RotationSystem.sncc",
+           "cut_and_contract": "RotationSystem.cut"}
+
+
+def _uncached_calls(sources: dict[str, str]) -> list[str]:
+    """Calls in ``sources`` of a function in ``KEPT_BY`` made anywhere but in
+    the body of its scope there, as module:line (enclosing scope)."""
     found = []
 
     def visit(node, scope, module):
@@ -241,7 +248,7 @@ def _trace_faces_calls(sources: dict[str, str]) -> list[str]:
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif isinstance(child, ast.Call):
                 name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if name == "trace_faces" and scope != "RotationSystem.faces":
+                if name in KEPT_BY and scope != KEPT_BY[name]:
                     found.append(f"{module}:{child.lineno} ({scope or 'module'})")
             visit(child, inner, module)
 
@@ -254,10 +261,15 @@ def test_trace_faces_call_detector():
     sources = {"a.py": "class RotationSystem:\n    def faces(self):\n        return trace_faces(self)\n"
                        "\n    def genus(self):\n        return len(trace_faces(self))\n",
                "b.py": "from . import embedding\n\nF = embedding.trace_faces(r)\n"}
-    assert _trace_faces_calls(sources) == ["a.py:6 (RotationSystem.genus)", "b.py:3 (module)"]
+    assert _uncached_calls(sources) == ["a.py:6 (RotationSystem.genus)", "b.py:3 (module)"]
+    sources = {"c.py": "class RotationSystem:\n    def cut(self):\n"
+                       "        return cut_and_contract(self, self.sncc)\n\n"
+                       "    def sncc(self):\n        return euler_genus(self)\n\n\n"
+                       "def color(rot):\n    return cut_and_contract(rot, rot.sncc)\n"}
+    assert _uncached_calls(sources) == ["c.py:6 (RotationSystem.sncc)", "c.py:10 (color)"]
 
 
 def test_only_the_rotation_system_traces_faces():
-    # Every reader of an embedding's faces shares the cached trace.
+    # Every reader of an embedding's faces, genus, cycle or cut shares the cached one.
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _trace_faces_calls(sources) == []
+    assert _uncached_calls(sources) == []
