@@ -137,6 +137,8 @@ def cmd_color(args) -> int:
     else:
         rot = _load_rotation(args.input)
         if name == "0122":
+            if rot.genus > 2:  # (2,2,2) is proved for the plane and the torus
+                raise UsageError(f"construction 0122 needs Euler genus 0 or 2, got {rot.genus}")
             cert = constructions.color_0122(rot.graph)
         else:
             op = {"600001": constructions.color_600001,

@@ -7,13 +7,14 @@ tree-cotree decomposition, finds shortest non-contractible cycles, and
 implements the two surgeries the coloring pipelines need: cutting the torus
 along a non-contractible cycle and contracting both copies to single
 vertices, with a genus-0 rotation system that certifies the result planar,
-and contracting a path into one vertex.  A rotation system keeps its faces,
-genus, shortest non-contractible cycle and cut once computed.
+and contracting a path into one vertex.  A rotation system keeps its dart
+table, faces, genus, shortest non-contractible cycle and cut once computed.
 
+Darts are ints, and a face is a cycle of the face permutation succ . twin.
 Homology signatures are bitmasks over the ``eg`` leftover edges of the
-tree-cotree decomposition; a cycle on the torus is contractible exactly
-when its signature is zero (on the torus, contractible = separating =
-Z2-null-homologous).
+tree-cotree decomposition, one per dart and equal on an edge's two darts; a
+cycle on the torus is contractible exactly when its signature is zero (on
+the torus, contractible = separating = Z2-null-homologous).
 """
 from __future__ import annotations
 
@@ -23,22 +24,15 @@ from typing import Optional, Sequence
 
 from .graph import Graph, build_graph
 
-Dart = tuple[int, int]  # (tail, head); exactly two darts per edge
-Edge = tuple[int, int]  # sorted pair
-
-
-def _edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
 
 @dataclass(frozen=True)
 class RotationSystem:
     """A graph together with a counterclockwise neighbor order at each vertex.
 
-    The rotation alone determines the faces, the genus and, on the torus, the
-    shortest non-contractible cycle and the cut along it.  :attr:`faces`,
-    :attr:`genus`, :attr:`sncc` and :attr:`cut` compute each once per object,
-    and every reader goes through them.
+    The rotation alone determines the dart table, the faces, the genus and,
+    on the torus, the shortest non-contractible cycle and the cut along it.
+    :attr:`darts`, :attr:`faces`, :attr:`genus`, :attr:`sncc` and :attr:`cut`
+    compute each once per object, and every reader goes through them.
     """
 
     graph: Graph
@@ -53,7 +47,28 @@ class RotationSystem:
                 raise ValueError(f"rotation at vertex {v} does not match its neighbors")
 
     @functools.cached_property
-    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+    def darts(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The dart table ``(off, head, twin, succ)``, built on first use and kept.
+
+        Darts are numbered in lexicographic (tail, head) order, v's from
+        ``off[v]`` to ``off[v + 1]``; ``twin[d]`` is d reversed and ``succ[d]``
+        the next dart counterclockwise at d's tail.  Only this table maps
+        vertex pairs to darts."""
+        g = self.graph
+        off, head = [0], []
+        for a in g.adj:
+            head += sorted(a)
+            off.append(len(head))
+        dart = {(u, head[d]): d for u in range(g.n) for d in range(off[u], off[u + 1])}
+        twin = [dart[(w, u)] for u, w in dart]  # the dict lists its keys in dart order
+        succ = [0] * len(head)
+        for u, row in enumerate(self.rot):
+            for w, x in zip(row, row[1:] + row[:1]):
+                succ[dart[(u, w)]] = dart[(u, x)]
+        return off, head, twin, succ
+
+    @functools.cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """The facial walks of :func:`trace_faces`, traced on first use and kept."""
         return trace_faces(self)
 
@@ -85,8 +100,8 @@ class CycleCert:
         return len(self.vertices)
 
 
-def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
-    """Partition all darts into facial walks.
+def trace_faces(rot: RotationSystem) -> tuple[tuple[int, ...], ...]:
+    """Partition all darts into facial walks, the cycles of d -> succ[twin[d]].
 
     From dart (u -> v) the walk continues with the successor of (v -> u) in
     v's rotation.  Every dart lies in exactly one face, so the face degrees
@@ -94,25 +109,18 @@ def trace_faces(rot: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
     the faces come in the order of those darts.  The package traces each
     rotation system once, through its cached :attr:`RotationSystem.faces`.
     """
-    g = rot.graph
-    pos = [{w: i for i, w in enumerate(rot.rot[v])} for v in range(g.n)]
-    used: set[Dart] = set()
+    _, head, twin, succ = rot.darts
+    seen = [False] * len(head)
     faces = []
-    for start in ((u, v) for u in range(g.n) for v in sorted(g.adj[u])):
-        if start in used:
+    for start in range(len(head)):
+        if seen[start]:
             continue
         walk = []
-        dart = start
-        while True:
-            walk.append(dart)
-            used.add(dart)
-            u, v = dart
-            nbrs = rot.rot[v]
-            dart = (v, nbrs[(pos[v][u] + 1) % len(nbrs)])
-            if dart == start:
-                break
-            if dart in used:
-                raise ValueError(f"malformed rotation: dart {dart} reused")
+        d = start
+        while not seen[d]:  # phi is a permutation: the walk closes at start
+            seen[d] = True
+            walk.append(d)
+            d = succ[twin[d]]
         faces.append(tuple(walk))
     return tuple(faces)
 
@@ -143,81 +151,71 @@ def _unsigned(g: Graph) -> list[list[tuple[int, int]]]:
     return [[(w, 0) for w in sorted(g.adj[u])] for u in range(g.n)]
 
 
-def edge_signatures(rot: RotationSystem) -> dict[Edge, int]:
-    """Z2-homology signature of every edge, via tree-cotree decomposition.
+def edge_signatures(rot: RotationSystem) -> list[int]:
+    """Z2-homology signature of every dart, via tree-cotree decomposition.
 
-    A spanning tree T gets signature 0; a spanning tree of the dual (built
-    from edges outside T) is peeled from the leaves so that every facial
-    walk sums to zero; the ``eg`` leftover edges each carry one distinct bit.
-    Degenerate graphs are a ``ValueError``, as in :func:`euler_genus`.
+    Both darts of an edge carry its signature; an edge is named by its smaller
+    dart.  A spanning tree T gets signature 0; a spanning tree of the dual
+    (built from edges outside T) is peeled from the leaves so that every
+    facial walk sums to zero; the ``eg`` leftover edges each carry one
+    distinct bit.  Degenerate graphs are a ``ValueError``, as in :func:`euler_genus`.
     """
     g = rot.graph
     eg = rot.genus
     faces = rot.faces
+    _, head, twin, _ = rot.darts
 
-    # BFS spanning tree of the primal graph.
+    # BFS spanning tree of the primal graph; the other edges by their smaller darts.
     parent = _bfs_tree(_unsigned(g), 0, g.n)[2]
-    tree = {_edge(v, p) for v, p in enumerate(parent) if p >= 0}
+    nontree = [d for d, w in enumerate(head) if d < twin[d]
+               and parent[w] != head[twin[d]] and parent[head[twin[d]]] != w]
 
-    face_of = {dart: fi for fi, walk in enumerate(faces) for dart in walk}
+    face_of = [0] * len(head)
+    for fi, walk in enumerate(faces):
+        for d in walk:
+            face_of[d] = fi
 
     # Spanning tree of the dual restricted to non-tree edges (the cotree).
-    dual_parent_edge: dict[int, Edge] = {}
+    incident: list[list[int]] = [[] for _ in faces]
+    for e in nontree:
+        for f in (face_of[e], face_of[twin[e]]):
+            incident[f].append(e)
+    dual_parent = [-1] * len(faces)  # the cotree edge to each face but the root 0
     dual_order = [0]
-    dseen = {0}
-    nontree = [e for e in g.edges() if e not in tree]
-    incident: dict[int, list[Edge]] = {}
-    for u, v in nontree:
-        for f in (face_of[(u, v)], face_of[(v, u)]):
-            incident.setdefault(f, []).append((u, v))
     for f in dual_order:  # the list grows while it is read: a FIFO queue
-        for e in incident.get(f, []):
-            u, v = e
-            for f2 in (face_of[(u, v)], face_of[(v, u)]):
-                if f2 not in dseen:
-                    dseen.add(f2)
-                    dual_parent_edge[f2] = e
+        for e in incident[f]:
+            for f2 in (face_of[e], face_of[twin[e]]):
+                if f2 != 0 and dual_parent[f2] < 0:
+                    dual_parent[f2] = e
                     dual_order.append(f2)
-    if len(dseen) != len(faces):
+    if len(dual_order) != len(faces):
         raise AssertionError("dual graph disconnected under non-tree edges")
 
-    cotree = set(dual_parent_edge.values())
+    cotree = set(dual_parent)
     leftover = [e for e in nontree if e not in cotree]
     if len(leftover) != eg:
         raise AssertionError(f"{len(leftover)} leftover edges, expected Euler genus {eg}")
 
-    sig: dict[Edge, int] = {e: 0 for e in g.edges()}
-    for bit, e in enumerate(sorted(leftover)):
-        sig[e] = 1 << bit
+    sig = [0] * len(head)
+    for bit, e in enumerate(leftover):
+        sig[e] = sig[twin[e]] = 1 << bit
 
-    # Peel the dual tree from the leaves: each face constraint determines
-    # its parent cotree edge.  Edges appearing twice in one walk cancel.
-    for f in reversed(dual_order):
-        pe = dual_parent_edge.get(f)
-        if pe is None:
-            continue
+    # Peel the dual tree from the leaves: a face's sum, taken while its parent
+    # cotree edge is still 0, is that edge's signature.  Edges twice in a walk cancel.
+    for f in reversed(dual_order[1:]):
         total = 0
-        for u, v in faces[f]:
-            e = _edge(u, v)
-            if e != pe:
-                total ^= sig[e]
-        sig[pe] = total
+        for d in faces[f]:
+            total ^= sig[d]
+        pe = dual_parent[f]
+        sig[pe] = sig[twin[pe]] = total
 
     for walk in faces:
         total = 0
-        for u, v in walk:
-            total ^= sig[_edge(u, v)]
+        for d in walk:
+            total ^= sig[d]
         if total != 0:
             raise AssertionError("facial walk with nonzero signature")
     return sig
-
-
-def walk_signature(sig: dict[Edge, int], vertices: Sequence[int]) -> int:
-    """Signature of a closed walk: XOR of its edges' signatures."""
-    total = 0
-    for i in range(len(vertices)):
-        total ^= sig[_edge(vertices[i], vertices[(i + 1) % len(vertices)])]
-    return total
 
 
 def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -279,7 +277,7 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     from the vertices of C1 and C2 alone find the shortest length.
 
     Each non-tree edge (u, w) closes the fundamental cycle u .. lca .. w; its
-    signature is ``psig[u] ^ psig[w] ^ sig[(u, w)]``, so contractible
+    signature is ``psig[u] ^ psig[w]`` plus the edge's signature, so contractible
     candidates are discarded without building a path.  A candidate with
     ``dist[u] + dist[w] + 1`` above the best length so far is skipped, and so
     a root's BFS need not grow past depth ``best // 2``.  Ties are broken by
@@ -293,14 +291,11 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     g = rot.graph
     if rot.genus != 2:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
+    off, head, _, _ = rot.darts
     sig = edge_signatures(rot)
     # (neighbor, edge signature) pairs, smaller neighbors first as BFS visits them
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    higher: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # each edge once
-    for (u, w), s in sorted(sig.items()):
-        nbrs[u].append((w, s))
-        nbrs[w].append((u, s))
-        higher[u].append((w, s))
+    nbrs = [[(head[d], sig[d]) for d in range(off[u], off[u + 1])] for u in range(g.n)]
+    higher = [[(w, s) for w, s in nbrs[u] if w > u] for u in range(g.n)]  # each edge once
 
     _, dist, parent, psig = _bfs_tree(nbrs, 0, g.n)
     shortest: dict[int, list[int]] = {}  # nonzero class -> its shortest fundamental cycle
@@ -313,7 +308,8 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
                     shortest[s] = cycle
     c1, c2 = sorted(shortest.values(), key=len)[:2]
 
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    # (length, canonical cycle, signature): the cycle decides, the signature rides along
+    best: Optional[tuple[int, tuple[int, ...], int]] = None
     for root in sorted(set(c1) | set(c2)):
         depth_cap = g.n if best is None else best[0] // 2
         order, dist, parent, psig = _bfs_tree(nbrs, root, depth_cap)
@@ -323,16 +319,17 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
                     continue
                 if best is not None and dist[u] + dist[w] + 1 > best[0]:
                     continue
-                if psig[u] ^ psig[w] ^ s == 0:
+                s ^= psig[u] ^ psig[w]
+                if s == 0:
                     continue
                 cycle = _fundamental_cycle(dist, parent, u, w)
-                key = (len(cycle), _canonical_cycle(cycle))
+                key = (len(cycle), _canonical_cycle(cycle), s)
                 if best is None or key < best:
                     best = key
 
     if best is None:
         raise AssertionError("no non-contractible cycle found on a genus-2 embedding")
-    cert = CycleCert(best[1], walk_signature(sig, best[1]))
+    cert = CycleCert(best[1], best[2])
 
     cyc = set(cert.vertices)
     for i, v in enumerate(cert.vertices):
@@ -414,7 +411,7 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
     u_idx, v_idx = len(others), len(others) + 1
     a_idx, b_idx = (u_idx, v_idx) if a_min <= b_min else (v_idx, u_idx)
 
-    side: dict[Dart, int] = {}  # (cycle vertex, neighbor) -> contracted vertex
+    side: dict[tuple[int, int], int] = {}  # (cycle vertex, neighbor) -> contracted vertex
     keep: dict[tuple[int, int], int] = {}  # (neighbor, contracted vertex) -> cycle vertex
     for x, arcs in ((a_idx, arcs_a), (b_idx, arcs_b)):
         for ci, arc in zip(vs, arcs):
@@ -446,8 +443,8 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
 def shortest_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
     """Breadth-first shortest u-v path; ties broken by exploring smaller
     neighbor indices first."""
-    if u == v:
-        raise ValueError("endpoints must differ")
+    if u == v or not 0 <= u < g.n:
+        raise ValueError(f"need a vertex u in 0..{g.n - 1} and v != u, got u={u}, v={v}")
     _, dist, parent, _ = _bfs_tree(_unsigned(g), u, g.n)
     if not 0 <= v < g.n or dist[v] < 0:
         raise ValueError(f"vertex {v} unreachable from {u}")
@@ -465,19 +462,19 @@ def contract_path(g: Graph, p: Sequence[int]) -> tuple[Graph, int, tuple[Optiona
     ``vstar``).  Surviving vertices keep their relative order.
     """
     path = list(p)
-    if len(set(path)) != len(path):
-        raise ValueError("path revisits a vertex")
+    pset = set(path)
+    if not path or len(pset) != len(path) or not all(0 <= v < g.n for v in path):
+        raise ValueError(f"{path} is not a nonempty sequence of distinct vertices")
     for a, b in zip(path, path[1:]):
         if b not in g.adj[a]:
             raise ValueError(f"({a}, {b}) is not an edge, so p is not a path")
-    pset = set(path)
     others = sorted(v for v in range(g.n) if v not in pset)
     index = {v: i for i, v in enumerate(others)}
     vstar = len(others)
-    edges: set[Edge] = set()
+    edges: set[tuple[int, int]] = set()
     for x, y in g.edges():
         xi = index.get(x, vstar)
         yi = index.get(y, vstar)
         if xi != yi:
-            edges.add(_edge(xi, yi))
+            edges.add((min(xi, yi), max(xi, yi)))
     return build_graph(len(others) + 1, sorted(edges)), vstar, tuple(others) + (None,)

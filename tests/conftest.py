@@ -12,7 +12,7 @@ import pytest
 from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, build_graph,
                      classify_6regular, edge_signatures, euler_genus, gen_circulant, gen_grid,
                      solve, solve_with_precoloring)
-from torodef.embedding import _canonical_cycle, contract_path, shortest_path, walk_signature
+from torodef.embedding import _canonical_cycle, contract_path, shortest_path
 from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
 
 
@@ -57,6 +57,21 @@ def girth(g):
     return best
 
 
+def pair_signatures(rot: RotationSystem) -> dict:
+    """The per-dart ``edge_signatures`` keyed by (tail, head) vertex pairs."""
+    _, head, twin, _ = rot.darts
+    return {(head[twin[d]], head[d]): s for d, s in enumerate(edge_signatures(rot))}
+
+
+def walk_signature(sig: dict, vertices) -> int:
+    """Signature of a closed walk: XOR of its edges' signatures, ``sig``
+    keyed by vertex pairs as :func:`pair_signatures` gives them."""
+    total = 0
+    for i in range(len(vertices)):
+        total ^= sig[(vertices[i - 1], vertices[i])]
+    return total
+
+
 def make_cycle_cert(rot: RotationSystem, vertices) -> CycleCert:
     """Wrap a vertex sequence as a cycle certificate, computing its signature."""
     vs = tuple(vertices)
@@ -65,7 +80,7 @@ def make_cycle_cert(rot: RotationSystem, vertices) -> CycleCert:
     for i in range(len(vs)):
         if vs[(i + 1) % len(vs)] not in rot.graph.adj[vs[i]]:
             raise ValueError(f"vertices {vs[i]} and {vs[(i + 1) % len(vs)]} not adjacent")
-    return CycleCert(vs, walk_signature(edge_signatures(rot), vs))
+    return CycleCert(vs, walk_signature(pair_signatures(rot), vs))
 
 
 def sncc_all_roots(rot: RotationSystem) -> tuple[int, ...]:
@@ -74,7 +89,7 @@ def sncc_all_roots(rot: RotationSystem) -> tuple[int, ...]:
     its restriction to the roots on two crossing cycles."""
     g = rot.graph
     assert euler_genus(rot) == 2
-    sig = edge_signatures(rot)
+    sig = pair_signatures(rot)
     nbrs = [sorted(a) for a in g.adj]
     higher = [[w for w in g.adj[u] if w > u] for u in range(g.n)]
     best = None

@@ -9,6 +9,7 @@ from torodef import DefectVector, build_graph, gen_grid, gen_named, verify_color
 from torodef.generators import CirculantSpec, GridSpec
 from torodef import cli, constructions, fileio, generators
 from torodef.cli import build_parser, main, parse_family_token
+from torodef.embedding import RotationSystem
 
 
 # --- formats ----------------------------------------------------------------
@@ -319,6 +320,25 @@ def test_rotation_files_off_the_torus_exit_2(tmp_path, capsys, text, genus):
     else:
         assert run(["embed-info", path]) == 0
         assert f"genus {genus}" in capsys.readouterr().out.splitlines()
+
+
+def test_0122_refuses_rotations_beyond_the_torus(tmp_path, capsys):
+    # (2,2,2) is a theorem on the torus: the sorted-row K10 rotation (Euler
+    # genus 32) is bad input, not a search that gave up.
+    k10 = build_graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
+    rows = tuple(tuple(sorted(k10.adj[v])) for v in range(10))
+    k4_planar = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+    cases = [("k10", RotationSystem(k10, rows), 2),
+             ("k7", gen_named("k7")[1], 0),
+             ("t11", gen_named("t11")[1], 0),
+             ("k4", RotationSystem(gen_named("k4")[0], k4_planar), 0)]
+    for name, rot, code in cases:
+        path = str(tmp_path / f"{name}.rot")
+        with open(path, "w") as f:
+            fileio.write_rotation(rot, f)
+        assert run(["color", path, "--construction", "0122"]) == code, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") == (code == 2), name
 
 
 def test_parser_is_built_once():

@@ -8,10 +8,11 @@ from torodef import (GridSpec, build_graph, color_0004, color_00002, color_60000
 from torodef import cli, embedding, fileio, generators
 from torodef.embedding import (RotationSystem, cut_and_contract, contract_path,
                                edge_signatures, euler_genus, shortest_noncontractible_cycle,
-                               shortest_path, trace_faces, walk_signature)
+                               shortest_path, trace_faces)
 from torodef.cli import parse_family_token
 from .conftest import (all_valid_grids, cut_observations, girth, irregular_torus,
-                       make_cycle_cert, planarity_check, sncc_all_roots)
+                       make_cycle_cert, pair_signatures, planarity_check, sncc_all_roots,
+                       walk_signature)
 
 K4_PLANAR_ROT = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
@@ -29,6 +30,8 @@ def test_rotation_system_validates_neighbor_sets():
         RotationSystem(g, ((1,), (0,), (1,)))  # vertex 1 missing neighbor 2
     with pytest.raises(ValueError):
         RotationSystem(g, ((1,), (0, 2)))  # wrong length
+    with pytest.raises(ValueError):
+        RotationSystem(g, ((1,), (0, 2, 0), (1,)))  # a repeated neighbor: succ would not be a permutation
 
 
 def test_face_counts_on_canonical_embeddings():
@@ -120,24 +123,45 @@ def test_each_rotation_system_is_traced_once(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _tails(rot, darts):
+    _, head, twin, _ = rot.darts
+    return [head[twin[d]] for d in darts]
+
+
 def test_face_darts_partition():
-    _, rot = gen_named("t11")
-    darts = [d for f in trace_faces(rot) for d in f]
-    assert len(darts) == len(set(darts)) == 2 * rot.graph.m
+    for rot in (gen_named("k7")[1], gen_named("t11")[1], k4_planar(), irregular_torus(1)):
+        g = rot.graph
+        off, head, twin, succ = rot.darts
+        assert off[-1] == len(head) == 2 * g.m
+        for u in range(g.n):  # darts in lexicographic (tail, head) order
+            assert head[off[u]:off[u + 1]] == sorted(g.adj[u])
+            assert _tails(rot, range(off[u], off[u + 1])) == [u] * g.degree(u)
+        assert all(twin[d] != d and twin[twin[d]] == d for d in range(len(head)))
+        for u, row in enumerate(rot.rot):  # succ walks each row in order
+            first = off[u] + sorted(row).index(row[0])
+            walked, d = [], first
+            for _ in row:
+                walked.append(head[d])
+                d = succ[d]
+            assert tuple(walked) == row and d == first
+        faces = trace_faces(rot)
+        assert sorted(d for f in faces for d in f) == list(range(len(head)))
+        assert [f[0] for f in faces] == sorted(min(f) for f in faces)
+        for f in faces:  # the cycles of phi = succ . twin
+            assert all(succ[twin[d]] == f[(i + 1) % len(f)] for i, d in enumerate(f))
 
 
 # --- homology signatures ----------------------------------------------------
 
 def test_signatures_on_the_plane_are_all_zero():
     sig = edge_signatures(k4_planar())
-    assert set(sig.values()) == {0}
+    assert len(sig) == 12 and set(sig) == {0}
 
 
 def test_facial_triangles_are_contractible_and_grid_rows_are_not():
     spec = GridSpec(5, 5, 1)
     g, rot = gen_grid(spec)
-    face = trace_faces(rot)[0]
-    tri = [u for u, _ in face]
+    tri = _tails(rot, trace_faces(rot)[0])
     cert = make_cycle_cert(rot, tri)
     assert cert.signature == 0
     row = [0 * 5 + j for j in range(5)]        # a horizontal cycle
@@ -149,7 +173,7 @@ def test_facial_triangles_are_contractible_and_grid_rows_are_not():
 
 def test_walk_signature_invariant_under_rotation_and_reversal():
     _, rot = gen_grid(GridSpec(5, 5, 1))
-    sig = edge_signatures(rot)
+    sig = pair_signatures(rot)
     cycle = [0, 1, 2, 3, 4]  # closed implicitly
     base = walk_signature(sig, cycle)
     assert base == walk_signature(sig, cycle[2:] + cycle[:2])
@@ -175,7 +199,7 @@ def test_make_cycle_cert_rejects_non_cycles():
 def _sncc_oracle(rot, bound):
     """Shortest non-contractible cycle length by bounded brute enumeration."""
     g = rot.graph
-    sig = edge_signatures(rot)
+    sig = pair_signatures(rot)
     best = None
     for start in range(g.n):
         stack = [(start, [start])]
@@ -264,8 +288,7 @@ def test_cut_and_contract_counts_and_planarity():
 
 def test_cut_rejects_contractible_cycles():
     _, rot = gen_grid(GridSpec(5, 5, 1))
-    face = trace_faces(rot)[0]
-    cert = make_cycle_cert(rot, [u for u, _ in face])
+    cert = make_cycle_cert(rot, _tails(rot, trace_faces(rot)[0]))
     with pytest.raises(ValueError):
         cut_and_contract(rot, cert)
 
@@ -309,12 +332,16 @@ def test_cut_observations_on_irregular_tori():
 
 def test_sncc_matches_the_all_roots_search():
     # Rooting the search on two crossing cycles keeps the shortest length;
-    # the tie-break among shortest cycles matches the all-roots search here.
+    # the tie-break among shortest cycles matches the all-roots search here,
+    # and the signature carried with the cycle is the cycle's own.
     rots = [gen_grid(spec)[1] for spec in all_valid_grids(49)[::5]]
     rots += [irregular_torus(seed) for seed in CUT_SEEDS]
     assert len(rots) == 416
-    differ = [i for i, rot in enumerate(rots)
-              if shortest_noncontractible_cycle(rot).vertices != sncc_all_roots(rot)]
+    differ = []
+    for i, rot in enumerate(rots):
+        cert, oracle = shortest_noncontractible_cycle(rot), sncc_all_roots(rot)
+        if (cert.vertices, cert.signature) != (oracle, walk_signature(pair_signatures(rot), oracle)):
+            differ.append(i)
     assert differ == []
 
 
@@ -325,7 +352,10 @@ def test_shortest_path_and_contract_path():
     for v in (2, 4, -1):  # another component, or no vertex at all
         with pytest.raises(ValueError, match="unreachable"):
             shortest_path(unreachable, 0, v)
-    with pytest.raises(ValueError, match="differ"):
+    for u, v in ((-1, 3), (4, 0)):  # a start that is no vertex
+        with pytest.raises(ValueError, match="need a vertex u"):
+            shortest_path(unreachable, u, v)
+    with pytest.raises(ValueError, match="v != u"):
         shortest_path(g, 2, 2)
     g2, vstar, orig = contract_path(g, (0, 1, 3))
     assert g2.n == 3
@@ -337,6 +367,9 @@ def test_shortest_path_and_contract_path():
         contract_path(g, (0, 2))  # not an edge
     with pytest.raises(ValueError):
         contract_path(g, (0, 1, 0))
+    for p in ((5,), (-1,), (), (4, 5)):  # no vertex, or no path at all
+        with pytest.raises(ValueError, match="distinct vertices"):
+            contract_path(g, p)
 
 
 def test_planarity_known_answers():

@@ -2,8 +2,9 @@
 imports only the standard library and itself, every private module-level
 function is used somewhere in the package, every public name is used by the
 package or the benchmark, every defaulted parameter of a package function is
-set by some call, and only the rotation system's cached properties compute
-what it keeps: its faces, genus, shortest non-contractible cycle and cut."""
+set by some call, only the rotation system's cached properties compute
+what it keeps: its faces, genus, shortest non-contractible cycle and cut,
+and only the embedding module reads its dart table."""
 import ast
 import sys
 from pathlib import Path
@@ -273,3 +274,24 @@ def test_only_the_rotation_system_traces_faces():
     # Every reader of an embedding's faces, genus, cycle or cut shares the cached one.
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _uncached_calls(sources) == []
+
+
+def _dart_readers(sources: dict[str, str]) -> list[str]:
+    """Reads of a ``.darts`` attribute in ``sources`` outside ``embedding.py``,
+    as module:line."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            if module != "embedding.py" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "darts"]
+
+
+def test_dart_reader_detector():
+    sources = {"embedding.py": "off, head, twin, succ = rot.darts\n",
+               "cli.py": "x = 1\n_, head, _, _ = rot.darts\n",
+               "iso.py": "darts = 2 * g.m\n"}
+    assert _dart_readers(sources) == ["cli.py:2"]
+
+
+def test_only_the_embedding_reads_the_dart_table():
+    # The dart numbering stays private to the embedding layer.
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dart_readers(sources) == []
