@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="decide defective colorability")
     sp.add_argument("graph")
     sp.add_argument("--defects", required=True, help="e.g. 0,0,0,1*")
-    sp.add_argument("--budget", type=int, default=None, help="search node budget")
+    sp.add_argument("--budget", type=int, default=None, help="search node budget; without "
+                    "it the search is an exhaustive prover and may run long")
     sp.add_argument("--output", help="certificate path (stdout by default)")
     sp.set_defaults(fn=cmd_solve)
 

@@ -9,16 +9,17 @@ extends that to graphs that are not 5-degenerate.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .embedding import RotationSystem, contract_path, shortest_path
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
                          classify_6regular, gen_circulant, _r_forms)
-from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, degeneracy,
+from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, build_graph, degeneracy,
                     induced_subgraph, verify_coloring)
 from .iso import are_isomorphic
-from .solver import SAT, solve, solve_with_precoloring
+from .solver import INDETERMINATE, SAT, SolveResult, solve_with_precoloring
 
 
 class PipelineError(RuntimeError):
@@ -60,10 +61,43 @@ def color_cycle_56(length: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-# Node budget of the exact search behind the planar heuristic.  In the
-# acceptance-4 corpus the heuristic misses on two cut graphs, which the search
-# colors in 42 nodes each; 10**5 nodes take one to two seconds.
-_PLANAR_NODE_BUDGET = 10 ** 5
+# Total node budget of one pipeline search, summed over its restarts.
+_NODE_BUDGET = 10 ** 6
+
+
+def _run_unit(n: int) -> int:
+    """Node cutoff of the first run of a search on ``n`` vertices."""
+    return max(1000, 10 * n)
+
+
+def _luby(i: int) -> int:
+    """Term ``i >= 1`` of Luby's sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    k = i.bit_length()
+    return 1 << (k - 1) if i == (1 << k) - 1 else _luby(i - (1 << (k - 1)) + 1)
+
+
+def _search(g: Graph, pre: Mapping[int, int], d: DefectVector) -> SolveResult:
+    """Search for a coloring of ``g`` meeting ``d`` that extends ``pre``,
+    restarted under Luby-scheduled node cutoffs (Luby, Sinclair & Zuckerman,
+    IPL 47, 1993) within ``_NODE_BUDGET`` nodes in all: a search for a
+    coloring that exists is heavy-tailed in its vertex order (Gomes, Selman,
+    Crato & Kautz, JAR 24, 2000).  Run 1 is :func:`solve_with_precoloring`
+    on ``g`` itself; run i > 1 searches ``g`` relabeled by a permutation
+    seeded by i alone.  UNSAT from any run is exact; INDETERMINATE means
+    the budget ran out.
+    """
+    spent, run = 0, 1
+    while True:
+        cutoff = min(_run_unit(g.n) * _luby(run), _NODE_BUDGET - spent)
+        perm = random.Random(run).sample(range(g.n), g.n) if run > 1 else range(g.n)
+        h = g if run == 1 else build_graph(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+        res = solve_with_precoloring(h, {perm[v]: c for v, c in pre.items()}, d,
+                                     node_budget=cutoff)
+        spent += min(res.nodes, cutoff)
+        if res.status != INDETERMINATE or spent >= _NODE_BUDGET:
+            coloring = res.coloring and tuple(res.coloring[perm[v]] for v in range(g.n))
+            return SolveResult(res.status, coloring, spent)
+        run += 1
 
 
 def _four_color_planar(h: Graph, provenance: str) -> Coloring:
@@ -78,10 +112,10 @@ def _four_color_planar(h: Graph, provenance: str) -> Coloring:
     neighbors holds none of its b-colored neighbors, a and b are swapped on
     that union and the vertex takes color a.  This is a heuristic, not a
     proof: Kempe's argument fails at degree five (Heawood, 1890), so when no
-    pair frees a color the exact search colors the whole graph within
-    ``_PLANAR_NODE_BUDGET`` nodes.  An exhausted budget raises
-    :class:`PipelineError` (exit 3 in the CLI).  Neighbors are visited in
-    sorted order, so the coloring is a function of ``h``.
+    pair frees a color the whole graph goes to the budgeted :func:`_search`.
+    An exhausted budget raises :class:`PipelineError` (exit 3 in the CLI).
+    Neighbors are visited in sorted order, so the coloring is a function of
+    ``h``.
     """
     order, _ = _min_degree_peel(h)
     adj = [sorted(a) for a in h.adj]
@@ -92,7 +126,7 @@ def _four_color_planar(h: Graph, provenance: str) -> Coloring:
         if free:
             color[v] = free[0]
         elif not _kempe_swap(adj, color, v):
-            res = solve(h, DefectVector.of(0, 0, 0, 0), node_budget=_PLANAR_NODE_BUDGET)
+            res = _search(h, {}, DefectVector.of(0, 0, 0, 0))
             if res.status != SAT:
                 raise PipelineError(f"{provenance}: proper 4-coloring of the planar stage "
                                     f"came back {res.status}")
@@ -229,7 +263,7 @@ def color_0122(g: Graph) -> Certificate:
     """(0,1,2,2): start from an exact (2,2,2)-coloring, take one class (a
     union of paths and cycles) and split it into an independent class and a
     matching class."""
-    base = solve(g, DefectVector.of(2, 2, 2))
+    base = _search(g, {}, DefectVector.of(2, 2, 2))
     if base.status != SAT:
         raise PipelineError(f"color_0122: (2,2,2) search came back {base.status}")
     split_class = 1
@@ -316,7 +350,7 @@ def apply_pattern(pattern: str) -> Coloring:
 
 
 def _by_solve(g: Graph, d: DefectVector, tag: str) -> Certificate:
-    res = solve(g, d)
+    res = _search(g, {}, d)
     if res.status != SAT:
         raise PipelineError(f"color_6regular[{tag}]: search came back {res.status}")
     return make_certificate(g, res.coloring, d, tag)
@@ -325,8 +359,9 @@ def _by_solve(g: Graph, d: DefectVector, tag: str) -> Certificate:
 def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
     """Certificate for any simple 6-regular spec.
 
-    Non-exceptions get a proper 4-coloring (pattern where available, exact
-    search otherwise, so desk scale only).  Exceptions dispatch per case:
+    Non-exceptions get a proper 4-coloring: a pattern where available, else
+    the budgeted :func:`_search`, for a coloring Yeh and Zhu prove exists (an
+    exhausted budget raises :class:`PipelineError`).  Exceptions dispatch per case:
     K7 to (0,0,0,3), T11 to (0,0,0,2), the six small grids to search, and
     the circulant families to their patterns, transported through the
     classifier's unit when the offsets are not literally {1,2,3} or
@@ -385,8 +420,8 @@ def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpe
     The core is matched against the family spec's graph by isomorphism,
     colored as :func:`color_6regular` colors the spec (from the same
     classification), and the coloring is extended to the rest of the graph
-    by exact search with the core precolored.  T11 cores keep
-    their stronger (0,0,0,2) budget when the extension allows it.
+    by the budgeted search with the core precolored.  T11 cores keep their
+    stronger (0,0,0,2) target unless that search is UNSAT or runs out.
     """
     d6, core = degeneracy(g)
     if d6 < 6:
@@ -404,7 +439,7 @@ def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpe
     if core_cert.defects.entries[-1][0] < 3:
         targets.append(DefectVector.of(0, 0, 0, 3))
     for d in targets:
-        res = solve_with_precoloring(g, pre, d)
+        res = _search(g, pre, d)
         if res.status == SAT:
             return make_certificate(g, res.coloring, d, "0003-core-lift")
     raise PipelineError("0003-core-lift: extension search failed for all targets")

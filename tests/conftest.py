@@ -1,10 +1,12 @@
 """Shared helpers for the test suite, including the independent oracles
 (planarity, girth, cycle signatures, the all-roots shortest non-contractible
 cycle, brute-force isomorphism) that the package itself never calls."""
+import contextlib
 import functools
 import itertools
 import math
 import random
+import signal
 
 import networkx as nx
 import pytest
@@ -123,6 +125,28 @@ def sncc_all_roots(rot: RotationSystem) -> tuple[int, ...]:
                 if best is None or key < best:
                     best = key
     return best[1]
+
+
+class _GateExpired(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_gate(seconds: float):
+    """Fail the enclosed block once it has run ``seconds``, so that a search
+    that would hang fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise _GateExpired
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _GateExpired:
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def all_valid_grids(max_vertices: int):

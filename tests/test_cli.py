@@ -10,6 +10,7 @@ from torodef.generators import CirculantSpec, GridSpec
 from torodef import cli, constructions, fileio, generators
 from torodef.cli import build_parser, main, parse_family_token
 from torodef.embedding import RotationSystem
+from .conftest import time_gate
 
 
 # --- formats ----------------------------------------------------------------
@@ -202,12 +203,35 @@ def test_color_exits_3_when_the_planar_budget_runs_out(tmp_path, capsys, monkeyp
     run(["gen", "grid:45x1,20", "--output", miss])
     run(["gen", "k7", "--output", k7])
     capsys.readouterr()
-    monkeypatch.setattr(constructions, "_PLANAR_NODE_BUDGET", 0)
+    monkeypatch.setattr(constructions, "_NODE_BUDGET", 0)
     assert run(["color", miss + ".rot", "--construction", "600001"]) == 3
     out = capsys.readouterr()
     assert out.err.startswith("error:") and "Traceback" not in out.out + out.err
     # Where the heuristic colors on its own, no budget is spent.
     assert run(["color", k7 + ".rot", "--construction", "600001"]) == 0
+
+
+def test_color_6reg_exits_3_when_the_search_budget_runs_out(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "_NODE_BUDGET", 0)
+    assert run(["color", "circ:77:1,20,21", "--construction", "6reg"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "Traceback" not in out.out + out.err
+    # A pattern spends no budget.
+    assert run(["color", "circ:13:1,2,3", "--construction", "6reg"]) == 0
+    capsys.readouterr()
+
+
+# An unlucky vertex order: without restarts the proper 4-coloring search took
+# about 5 s on circ:58:5,11,16, ran past 60 s on circ:77:1,20,21, and took
+# 2.2 * 10**6 nodes on grid:4x13,2.
+@pytest.mark.parametrize("token", ["circ:77:1,20,21", "grid:4x13,2", "circ:58:5,11,16"])
+def test_color_6reg_heavy_tailed_searches_finish(token, tmp_path, capsys):
+    base, cert = str(tmp_path / "g"), str(tmp_path / "cert")
+    run(["gen", token, "--output", base])
+    with time_gate(2):
+        assert run(["color", token, "--construction", "6reg", "--output", cert]) == 0
+    assert run(["verify", base + ".g", cert]) == 0
+    assert "valid yes" in capsys.readouterr().out
 
 
 def test_color_command(tmp_path, capsys):

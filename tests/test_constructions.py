@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import torodef
 from torodef import (SAT, CirculantSpec, DefectVector, GridSpec, build_graph,
                      classify_6regular, gen_circulant, gen_grid, gen_named, induced_subgraph,
-                     solve, verify_coloring)
+                     solve, solve_with_precoloring, verify_coloring)
 from torodef import constructions, embedding, generators
 from torodef.constructions import (PipelineError, _four_color_planar, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
@@ -22,8 +22,9 @@ from torodef.constructions import (PipelineError, _four_color_planar, apply_patt
                                    color_01_paths_cycles, color_cycle_56,
                                    make_certificate, pattern_circ123,
                                    pattern_exception, transport_pattern)
-from torodef.generators import SPORADIC_PAIRS
-from .conftest import (admits_mono_at_most, all_valid_grids, irregular_torus,
+from torodef.generators import SPORADIC_PAIRS, InvalidSpec
+from torodef.solver import INDETERMINATE, SolveResult
+from .conftest import (admits_mono_at_most, all_valid_grids, irregular_torus, time_gate,
                        unit_family_circulants)
 
 
@@ -112,20 +113,21 @@ HEURISTIC_MISSES = (GridSpec(45, 1, 20), GridSpec(45, 1, 28))
 
 @pytest.mark.parametrize("spec", HEURISTIC_MISSES, ids=lambda s: s.token())
 def test_exact_fallback_colors_the_heuristic_misses(spec, monkeypatch):
-    budgets = []
+    runs = []
 
-    def counting_solve(h, d, node_budget=None):
-        budgets.append(node_budget)
-        return solve(h, d, node_budget=node_budget)
+    def counting(h, pre, d, node_budget=None):
+        runs.append((h.n, node_budget))
+        return solve_with_precoloring(h, pre, d, node_budget=node_budget)
 
-    monkeypatch.setattr(constructions, "solve", counting_solve)
+    monkeypatch.setattr(constructions, "solve_with_precoloring", counting)
     rot = gen_grid(spec)[1]
     for op in PIPELINES:
         cert = op(rot)
         assert verify_coloring(rot.graph, cert.coloring, cert.defects).valid
-    # 600001 and 00002 fall back on the cut graph; 0004's contracted graph
-    # is colored by the heuristic.
-    assert budgets == [constructions._PLANAR_NODE_BUDGET] * 2
+    # 600001 and 00002 fall back on the cut graph, and the first run of the
+    # search colors it; 0004's contracted graph is colored by the heuristic.
+    n = rot.cut.h.n
+    assert runs == [(n, constructions._run_unit(n))] * 2
 
 
 @functools.cache
@@ -376,6 +378,66 @@ def test_color_6regular_through_hidden_unit_image():
     _check_6reg(CirculantSpec(13, offs), "0,0,0,1")
 
 
+# --- budgeted search with restarts ---------------------------------------------
+
+PROPER4 = DefectVector.of(0, 0, 0, 0)
+
+
+def test_luby_sequence():
+    assert [constructions._luby(i) for i in range(1, 16)] == [
+        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def test_search_is_deterministic_across_restarts():
+    for spec in (CirculantSpec(58, frozenset({5, 11, 16})), GridSpec(4, 13, 2)):
+        g = classify_6regular(spec).graph
+        first = constructions._search(g, {}, PROPER4)
+        assert first.status == SAT
+        assert first.nodes > constructions._run_unit(g.n), spec  # it restarted
+        assert constructions._search(g, {}, PROPER4) == first, spec
+
+
+def test_search_returns_the_first_runs_coloring():
+    # What the plain search finds within the first cutoff is returned as
+    # is, so certificates that need no restart do not change.
+    cases = ([(h, PROPER4) for h in _corpus_cut_graphs()]
+             + [(gen_named(name)[0], DefectVector.of(2, 2, 2)) for name in ("k7", "t11")]
+             + [(classify_6regular(GridSpec(5, 5, 1)).graph, PROPER4)])
+    for g, d in cases:
+        direct = solve(g, d, node_budget=constructions._run_unit(g.n))
+        assert direct.status == SAT
+        assert constructions._search(g, {}, d) == direct
+
+
+def _every_fifth_sweep():
+    """Every fifth G_n[1,r,r+1], 13 <= n < 100, that the classifier rules
+    4-colorable, and the 4-colorable ones among every fifth multi-column
+    grid with at most 80 vertices."""
+    circulants = []
+    for n in range(13, 100):
+        for r in range(2, n // 2):
+            spec = CirculantSpec(n, frozenset({1, r, r + 1}))
+            try:
+                cls = classify_6regular(spec)
+            except InvalidSpec:
+                continue
+            if cls.four_colorable:
+                circulants.append((spec, cls))
+    grids = [(s, classify_6regular(s)) for s in
+             [s for s in all_valid_grids(80) if s.n >= 2][::5]]
+    return circulants[::5] + [(s, cls) for s, cls in grids if cls.four_colorable]
+
+
+def test_restarts_color_the_4_colorable_sweep():
+    specs = _every_fifth_sweep()
+    assert len(specs) > 700
+    with time_gate(15):
+        for spec, cls in specs:
+            cert = constructions._color_classified(spec, cls)
+            assert str(cert.defects) == "0,0,0,0", spec
+            assert verify_coloring(cls.graph, cert.coloring, cert.defects).valid, spec
+
+
 # --- 6-core lifting ---------------------------------------------------------
 
 def _with_pendants(base, extra_edges, total):
@@ -397,6 +459,29 @@ def test_0003_core_lift_on_decorated_k7():
     cert = color_0003_high_min_degree(g, GridSpec(7, 1, 4))
     assert str(cert.defects) == "0,0,0,3"
     assert verify_coloring(g, cert.coloring, cert.defects).valid
+
+
+def test_0003_core_lift_falls_through_an_exhausted_budget(monkeypatch):
+    # A stronger target whose extension runs out of budget gives way to
+    # (0,0,0,3), as an UNSAT one does; only when every target fails does
+    # the lift give up.
+    real = constructions._search
+    starved = []
+
+    def starving(g, pre, d):
+        if pre and str(d) in starved:
+            return SolveResult(INDETERMINATE, None, constructions._NODE_BUDGET)
+        return real(g, pre, d)
+
+    monkeypatch.setattr(constructions, "_search", starving)
+    g = _with_pendants(gen_named("t11")[0], [(0, 11), (11, 12), (3, 12), (12, 13)], 14)
+    starved.append("0,0,0,2")
+    cert = color_0003_high_min_degree(g, GridSpec(11, 1, 4))
+    assert str(cert.defects) == "0,0,0,3"
+    assert verify_coloring(g, cert.coloring, cert.defects).valid
+    starved.append("0,0,0,3")
+    with pytest.raises(PipelineError):
+        color_0003_high_min_degree(g, GridSpec(11, 1, 4))
 
 
 def test_0003_core_lift_builds_the_core_graph_once(monkeypatch):
