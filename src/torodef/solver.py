@@ -2,15 +2,24 @@
 
 Complete backtracking search with saturation-style dynamic vertex ordering
 (DSATUR; Brelaz, CACM 22, 1979), symmetry breaking over interchangeable
-classes, and optional precoloring.  Feasibility is kept incrementally, so a
-search node costs work in the neighbourhood it touches, and the search runs
-on an explicit stack rather than Python's call stack.
+classes, and optional precoloring, on Python ints used as vertex bitsets
+(after San Segundo et al., Computers & OR 38, 2011).  Each class keeps a
+mask of the vertices that may still join it.  A defective or starred class
+also keeps bit planes counting each vertex's neighbours in the class, its
+members, the vertices next to a member at its defect, and its edge count.
+Bit planes count each vertex's blocked classes; the next vertex is the
+uncolored one with the most, then the highest degree, then the lowest index.
+Placing only shrinks masks, and each frame of the explicit stack keeps what
+its undo needs: the newly blocked vertices (they restore the class mask and
+the blocked counts), plus the old saturation mask and the vertex's own count
+for a defective class; neighbour counts are restored by subtraction.
 A brute-force enumeration oracle is provided for cross-validation; it is the
 ground truth the search is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Optional
 
 from .graph import Coloring, DefectVector, Graph, verify_coloring
@@ -44,105 +53,105 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     """Like :func:`solve`, but extending a partial coloring exactly.
 
     Precolored vertices are never recolored.  An internally inconsistent
-    precoloring yields an immediate UNSAT with a witness violation.
+    precoloring yields an immediate UNSAT with a witness violation; a vertex
+    outside 0..n-1 or a class outside 1..k raises ValueError.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget {node_budget} is negative")
-    k = d.k
+    k, n = d.k, g.n
+    for v, c1 in pre.items():
+        if not 0 <= v < n:
+            raise ValueError(f"precolored vertex {v} is outside 0..{n - 1}")
+        if not 1 <= c1 <= k:
+            raise ValueError(f"precolored vertex {v} has class {c1}, outside 1..{k}")
     defects = [d.entries[c][0] for c in range(k)]
     starred = [d.entries[c][1] for c in range(k)]
-    n = g.n
-    adj = [sorted(g.adj[v]) for v in range(n)]
-
-    # Per class c, indexed by vertex: colored neighbors in c, neighbors in c
-    # already at defect d_c ("saturated"), and whether the vertex may join c.
-    # Vertex v may join c iff it would keep within d_c, no saturated neighbor
-    # blocks it, and a starred c would keep at most one edge.
-    color = [0] * n                          # 1..k, 0 = uncolored
-    nb_count = [[0] * n for _ in range(k)]
-    sat_count = [[0] * n for _ in range(k)]
-    feasible = [[True] * n for _ in range(k)]
-    blocked = [0] * n                        # classes v may not join
-    mono_used = [0] * k                      # monochromatic edges per class
+    nbr = []                                 # neighbour masks
+    for a in g.adj:
+        m = 0
+        for w in a:
+            m |= 1 << w
+        nbr.append(m)
+    # Vertices per degree, highest first.  The lowest degree never narrows
+    # the candidates, so its mask is left out.
+    degrees = sorted({len(a) for a in g.adj}, reverse=True)
+    by_degree = [sum(1 << v for v, a in enumerate(g.adj) if len(a) == t) for t in degrees[:-1]]
     class_used = [0] * k                     # vertices per class
-    # Uncolored vertices not on the search stack, bucketed by blocked count.
-    buckets = [set() for _ in range(k + 1)]
-    waiting = [False] * n
+    uncolored = (1 << n) - 1
+    feas = [uncolored] * k
+    blocked = [0] * k.bit_length()           # planes of the blocked-class count
+    planes = [[0] * max([dc + 1, *degrees]).bit_length() for dc in defects]  # neighbours in c
+    members = [0] * k
+    near_sat = [0] * k                       # vertices next to a saturated member
+    mono = [0] * k                           # monochromatic edges per class
 
-    def block(u: int, feas: list[bool]) -> None:
-        feas[u] = False
-        b = blocked[u]
-        blocked[u] = b + 1
-        if waiting[u]:
-            buckets[b].remove(u)
-            buckets[b + 1].add(u)
+    # Counts are bit-sliced: bit v of pl[j] is bit j of vertex v's count.
+    def add(pl: list[int], mask: int) -> None:  # count += 1 on each bit of mask
+        j = 0
+        while mask:
+            p = pl[j]
+            pl[j] = p ^ mask
+            mask &= p
+            j += 1
 
-    def unblock(u: int, feas: list[bool]) -> None:
-        feas[u] = True
-        b = blocked[u]
-        blocked[u] = b - 1
-        if waiting[u]:
-            buckets[b].remove(u)
-            buckets[b - 1].add(u)
+    def sub(pl: list[int], mask: int) -> None:  # count -= 1 on each bit of mask
+        j = 0
+        while mask:
+            p = pl[j]
+            pl[j] = p ^ mask
+            mask &= ~p
+            j += 1
 
-    # Placing only raises counts, so it can only block; unplacing only unblocks.
-    def place(v: int, c: int) -> None:
-        c1, dc, star = c + 1, defects[c], starred[c]
-        nbc, satc, feas = nb_count[c], sat_count[c], feasible[c]
-        cnt = nbc[v]
-        v_sat = cnt == dc
-        color[v] = c1
+    def count(pl: list[int], v: int) -> int:
+        return sum((p >> v & 1) << j for j, p in enumerate(pl))
+
+    def at_least(pl: list[int], t: int) -> int:  # vertices counting t or more
+        gt, eq = 0, -1
+        for j in range(len(pl) - 1, -1, -1):
+            if t >> j & 1:
+                eq &= pl[j]
+            else:
+                gt |= eq & pl[j]
+                eq &= ~pl[j]
+        return gt | eq
+
+    # Placing only shrinks feasibility.  The returned record undoes it: the
+    # class, the newly blocked vertices, the old saturation mask and v's count.
+    def place(v: int, bit: int, c: int) -> tuple:
+        nonlocal uncolored
         class_used[c] += 1
-        mono = mono_used[c] = mono_used[c] + cnt
-        for w in adj[v]:
-            m = nbc[w] = nbc[w] + 1
-            if v_sat:
-                satc[w] += 1
-            if color[w] == c1 and m == dc:
-                for x in adj[w]:
-                    satc[x] += 1
-                    if feas[x]:
-                        block(x, feas)
-            if feas[w] and (v_sat or m > dc or (star and mono + m > 1)):
-                block(w, feas)
-        if star and cnt:
-            for u in range(n):
-                if nbc[u] == 1 and feas[u]:
-                    block(u, feas)
-
-    def unplace(v: int, c: int) -> None:
-        c1, dc, star = c + 1, defects[c], starred[c]
-        nbc, satc, feas = nb_count[c], sat_count[c], feasible[c]
-        cnt = nbc[v]
-        v_sat = cnt == dc
-        color[v] = 0
-        class_used[c] -= 1
-        mono = mono_used[c] = mono_used[c] - cnt
-        for w in adj[v]:
-            m = nbc[w]
-            if color[w] == c1 and m == dc:
-                for x in adj[w]:
-                    s = satc[x] = satc[x] - 1
-                    if not (s or feas[x] or nbc[x] > dc or (star and mono + nbc[x] > 1)):
-                        unblock(x, feas)
-            m = nbc[w] = m - 1
-            if v_sat:
-                satc[w] -= 1
-            if not (feas[w] or satc[w] or m > dc or (star and mono + m > 1)):
-                unblock(w, feas)
-        if star and cnt:
-            for u in range(n):
-                if nbc[u] == 1 and not (feas[u] or satc[u]):
-                    unblock(u, feas)
+        uncolored ^= bit
+        f, dc = feas[c], defects[c]
+        old = cnt = 0
+        if not dc:
+            delta = f & nbr[v]
+        else:
+            pl = planes[c]
+            cnt = count(pl, v)
+            add(pl, nbr[v])
+            m = mono[c] = mono[c] + cnt
+            members[c] |= bit
+            old = sat = near_sat[c]
+            if cnt == dc:
+                sat |= nbr[v]
+            x = members[c] & nbr[v]
+            while x:
+                w = (x & -x).bit_length() - 1
+                x &= x - 1
+                if count(pl, w) == dc:
+                    sat |= nbr[w]
+            near_sat[c] = sat
+            delta = f & (sat | at_least(pl, 1 if starred[c] and m else dc + 1))
+        feas[c] = f ^ delta
+        add(blocked, delta)
+        return c, delta, old, cnt
 
     # Seed the precoloring, reporting the first violated constraint.
     for v in sorted(pre):
-        c1 = pre[v]
-        if not (1 <= c1 <= k):
-            raise ValueError(f"precolored vertex {v} has class {c1}, outside 1..{k}")
-        if not feasible[c1 - 1][v]:
-            return SolveResult(UNSAT, None, 0, violation=(v, c1))
-        place(v, c1 - 1)
+        c = pre[v] - 1
+        if not feas[c] >> v & 1:
+            return SolveResult(UNSAT, None, 0, violation=(v, c + 1))
+        place(v, 1 << v, c)
 
     # Classes with identical (defect, star) are interchangeable; within each
     # group only already-used classes plus the first unused one are tried.
@@ -153,75 +162,77 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     def allowed_classes() -> list[int]:
         out = []
         for grp in groups.values():
-            fresh = True
-            for c in grp:
-                if class_used[c] > 0:
-                    out.append(c)
-                elif fresh:
-                    out.append(c)
-                    fresh = False
+            out += [c for c in grp if class_used[c]] + [c for c in grp if not class_used[c]][:1]
         return sorted(out)
 
-    rank = [(-len(adj[v]), v) for v in range(n)]
-
-    def take_next() -> int:
+    # Frames [vertex, allowed classes, an iterator over them, undo record].
+    # A frame's vertex sees the same feasibility masks whenever its frame is
+    # on top, since all placed above it has been undone, so each class is
+    # tested when the iterator reaches it.
+    nodes = 0
+    stack = []
+    allowed = allowed_classes()
+    while True:
         # Most constrained vertex first, then by degree and index.  A class
         # no vertex uses blocks no vertex, so fewest feasible allowed classes
         # means most blocked classes.
-        for bucket in reversed(buckets):
-            if bucket:
-                v = min(bucket, key=rank.__getitem__)
-                bucket.remove(v)
-                waiting[v] = False
-                return v
-        return -1
-
-    for v in range(n):
-        if not color[v]:
-            waiting[v] = True
-            buckets[blocked[v]].add(v)
-
-    # Frames [vertex, allowed classes, next index, placed class or -1].
-    nodes = 0
-    stack = []
-    v = take_next()
-    if v >= 0:
-        stack.append([v, allowed_classes(), 0, -1])
-    found = not stack
-    while stack:
-        frame = stack[-1]
-        v, allowed, i, placed = frame
-        if placed >= 0:
-            unplace(v, placed)
-        while i < len(allowed) and not feasible[allowed[i]][v]:
-            i += 1
-        if i == len(allowed):
-            stack.pop()
-            waiting[v] = True
-            buckets[blocked[v]].add(v)
-            continue
-        c = allowed[i]
+        cand = uncolored
+        if not cand:
+            break
+        for p in reversed(blocked):
+            t = cand & p
+            if t:
+                cand = t
+        for mask in by_degree:
+            t = cand & mask
+            if t:
+                cand = t
+                break
+        u = (cand & -cand).bit_length() - 1
+        stack.append([u, allowed, iter(allowed), None])
+        while True:
+            top = stack[-1]
+            v, allowed, left, undo = top
+            bit = 1 << v
+            if undo is not None:  # unplace v
+                c, delta, old, cnt = undo
+                class_used[c] -= 1
+                uncolored |= bit
+                if defects[c]:
+                    sub(planes[c], nbr[v])
+                    members[c] ^= bit
+                    near_sat[c] = old
+                    mono[c] -= cnt
+                feas[c] |= delta
+                sub(blocked, delta)
+            for c in left:
+                if feas[c] & bit:
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    return SolveResult(UNSAT, None, nodes)
+                continue
+            break
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             return SolveResult(INDETERMINATE, None, nodes)
-        place(v, c)
-        frame[2], frame[3] = i + 1, c
-        u = take_next()
-        if u < 0:
-            found = True
-            break
+        top[3] = place(v, bit, c)
         # The allowed classes change only when c was unused before.
-        stack.append([u, allowed if class_used[c] > 1 else allowed_classes(), 0, -1])
+        if class_used[c] == 1:
+            allowed = allowed_classes()
 
-    if not found:
-        return SolveResult(UNSAT, None, nodes)
+    color = [0] * n
+    for v, _, _, (c, *_) in stack:
+        color[v] = c + 1
+    for v, c1 in pre.items():
+        if color[v]:
+            raise AssertionError("precolored vertex was recolored")
+        color[v] = c1
     out = tuple(color)
     report = verify_coloring(g, out, d)
     if not report.valid:
         raise AssertionError("search returned a coloring the verifier rejects")
-    for v, c1 in pre.items():
-        if out[v] != c1:
-            raise AssertionError("precolored vertex was recolored")
     return SolveResult(SAT, out, nodes)
 
 
@@ -230,43 +241,26 @@ def enumerate_oracle(g: Graph, d: DefectVector, bound: int = 10 ** 8) -> SolveRe
 
     Refuses instances with k^n above ``bound`` rather than sampling.
     """
-    k = d.k
-    n = g.n
+    k, n = d.k, g.n
     if k ** n > bound:
         raise ValueError(f"{k}^{n} assignments exceed the enumeration bound {bound}")
-    defects = [d.entries[c][0] for c in range(k)]
-    starred = [d.entries[c][1] for c in range(k)]
     edges = list(g.edges())
-    assignment = [1] * n
     checked = 0
-    while True:
+    for out in product(range(1, k + 1), repeat=n):  # odometer order, last vertex fastest
         checked += 1
         induced = [0] * n
         mono = [0] * k
-        ok = True
         for u, v in edges:
-            if assignment[u] == assignment[v]:
-                c = assignment[u] - 1
+            if out[u] == out[v]:
+                c = out[u] - 1
                 induced[u] += 1
                 induced[v] += 1
                 mono[c] += 1
-                if induced[u] > defects[c] or induced[v] > defects[c]:
-                    ok = False
+                dc, star = d.entries[c]
+                if induced[u] > dc or induced[v] > dc or (star and mono[c] > 1):
                     break
-                if starred[c] and mono[c] > 1:
-                    ok = False
-                    break
-        if ok:
-            out = tuple(assignment)
-            report = verify_coloring(g, out, d)
-            if not report.valid:
+        else:
+            if not verify_coloring(g, out, d).valid:
                 raise AssertionError("oracle accepted a coloring the verifier rejects")
             return SolveResult(SAT, out, checked)
-        # next assignment, odometer style
-        i = n - 1
-        while i >= 0 and assignment[i] == k:
-            assignment[i] = 1
-            i -= 1
-        if i < 0:
-            return SolveResult(UNSAT, None, checked)
-        assignment[i] += 1
+    return SolveResult(UNSAT, None, checked)
