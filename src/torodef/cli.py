@@ -309,6 +309,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, InvalidSpec, fileio.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return 2
     except constructions.PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

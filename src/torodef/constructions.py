@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .embedding import RotationSystem, contract_path, shortest_path
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
-                         classify_6regular, gen_circulant, _r_forms)
+                         classify_6regular, _r_forms)
 from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, build_graph, degeneracy,
                     induced_subgraph, verify_coloring)
 from .iso import are_isomorphic
@@ -363,54 +363,36 @@ def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
     the budgeted :func:`_search`, for a coloring Yeh and Zhu prove exists (an
     exhausted budget raises :class:`PipelineError`).  Exceptions dispatch per case:
     K7 to (0,0,0,3), T11 to (0,0,0,2), the six small grids to search, and
-    the circulant families to their patterns, transported through the
-    classifier's unit when the offsets are not literally {1,2,3} or
-    {1,r,r+1}, and through its isomorphism witness for multi-column grids.
-    The spec's graph is the one the classifier built.
+    the circulant families to the pattern of the listed circulant the
+    classifier matched, pulled back along its ``to_listed`` map: vertex v
+    takes the pattern's color at ``to_listed[v]``.  The spec's graph is the
+    one the classifier built.
     """
     return _color_classified(spec, classify_6regular(spec))
 
 
 def _color_classified(spec: Union[GridSpec, CirculantSpec], cls: Classification) -> Certificate:
     """:func:`color_6regular` given the spec's classification."""
-    g = cls.graph
-    if isinstance(spec, CirculantSpec) or spec.n == 1:
-        return _color_circulant(g, cls)
-    if cls.four_colorable:
-        return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
-    if cls.case == "1":
+    g, n = cls.graph, cls.graph.n
+    if cls.reduced is None:
+        if cls.four_colorable:
+            return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
         return _by_solve(g, DefectVector.of(0, 0, 0, 1), "6reg-small-exception")
-    # The grid is a relabeling of an exception circulant: color the
-    # circulant and carry the coloring through the classifier's witness.
-    inner = _color_circulant(gen_circulant(cls.reduced), cls)
-    coloring = [0] * g.n
-    for v, c in enumerate(inner.coloring):
-        coloring[cls.witness[v]] = c
-    return make_certificate(g, tuple(coloring), inner.defects,
-                            f"6reg-grid-as-{cls.reduced.token()}")
-
-
-def _color_circulant(g: Graph, cls: Classification) -> Certificate:
-    n = g.n
     if cls.case == "4":
         # The two genuine (0,0,0,1)-exceptions.
         if n == 7:
             return _by_solve(g, DefectVector.of(0, 0, 0, 3), "6reg-k7")
         if n == 11:
             return _by_solve(g, DefectVector.of(0, 0, 0, 2), "6reg-t11")
-        # G_n[offsets] is the image of G_n[1,2,3] under v -> inv(unit) * v.
-        pattern = transport_pattern(pattern_circ123(n), n, pow(cls.unit, -1, n))
-        if n % 4 == 0:
-            d = DefectVector.of(0, 0, 0, 0)
-        else:
-            d = DefectVector.of(0, 0, 0, 1)
-        return make_certificate(g, apply_pattern(pattern), d, f"6reg-pattern-123(n={n})")
-    if cls.case == "5":
+        pattern, tag = pattern_circ123(n), f"6reg-pattern-123(n={n})"
+    else:
         r = sorted(cls.reduced.offsets)[1]
-        pattern = transport_pattern(pattern_exception(r, n), n, pow(cls.unit, -1, n))
-        return make_certificate(g, apply_pattern(pattern), DefectVector.of(0, 0, 0, 1),
-                                f"6reg-pattern-sporadic(r={r},n={n})")
-    return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")
+        pattern, tag = pattern_exception(r, n), f"6reg-pattern-sporadic(r={r},n={n})"
+    if isinstance(spec, GridSpec) and spec.n > 1:
+        tag = f"6reg-grid-as-{cls.reduced.token()}"
+    listed = apply_pattern(pattern)
+    d = DefectVector.of(0, 0, 0, 0 if cls.four_colorable else 1)
+    return make_certificate(g, tuple(listed[u] for u in cls.to_listed), d, tag)
 
 
 def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpec]) -> Certificate:

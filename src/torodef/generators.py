@@ -234,19 +234,18 @@ class Classification:
     4-colorable) and "5" for a unit image of a sporadic G_n[1,r,r+1]; it is
     None for every other 4-colorable spec.  In cases "4" and "5",
     ``reduced`` is the listed circulant G_n[1,2,3] or G_n[1,r,r+1] and
-    ``unit`` the p with p * offsets equal to the reduced offsets.  A
-    multi-column grid is matched to a listed graph by isomorphism:
-    ``witness[v]`` is the grid vertex that vertex v of the listed graph maps
-    to, and when that graph is a circulant, ``reduced`` is it and ``unit``
-    is 1.
+    ``to_listed`` an isomorphism from ``graph`` onto it: ``to_listed[v]`` is
+    the vertex of ``reduced`` that vertex v maps to.  For a circulant or a
+    single-column grid it is v -> p * v mod n, p the unit that carries the
+    offsets to the reduced ones; a multi-column grid is matched to the
+    listed graph by isomorphism, and ``to_listed`` is that witness inverted.
     """
 
     graph: Graph = field(repr=False)
     four_colorable: bool
     case: Optional[str] = None          # "1", "4" or "5"
     reduced: Optional[CirculantSpec] = None
-    unit: Optional[int] = None
-    witness: Optional[tuple[int, ...]] = None
+    to_listed: Optional[tuple[int, ...]] = None
 
 
 def _units(n: int):
@@ -310,9 +309,8 @@ def _classify_grid_by_isomorphism(g: Graph) -> Classification:
     for candidate, case, cspec in _exception_graphs(g.n):
         ok, witness = are_isomorphic(candidate, g)
         if ok:
-            return Classification(g, False, case=case, reduced=cspec,
-                                  unit=None if cspec is None else 1,
-                                  witness=tuple(witness[v] for v in range(g.n)))
+            to_listed = None if cspec is None else tuple(sorted(witness, key=witness.get))
+            return Classification(g, False, case=case, reduced=cspec, to_listed=to_listed)
     return Classification(g, True)
 
 
@@ -343,13 +341,10 @@ def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
             f"{spec.token()} is not unit-equivalent to any G_n[1,r,r+1]; "
             "its toroidality is not established by this classifier")
 
-    for p, r in forms:
-        if r == 2:
-            return Classification(g, n % 4 == 0, case="4",
-                                  reduced=CirculantSpec(n, frozenset({1, 2, 3})), unit=p)
-
-    for p, r in forms:
-        if (r, n) in SPORADIC_PAIRS:
-            return Classification(g, False, case="5",
-                                  reduced=CirculantSpec(n, frozenset({1, r, r + 1})), unit=p)
-    return Classification(g, True)
+    listed = [f for f in forms if f[1] == 2] or [f for f in forms if (f[1], n) in SPORADIC_PAIRS]
+    if not listed:
+        return Classification(g, True)
+    p, r = listed[0]
+    return Classification(g, r == 2 and n % 4 == 0, case="4" if r == 2 else "5",
+                          reduced=CirculantSpec(n, frozenset({1, r, r + 1})),
+                          to_listed=tuple(p * v % n for v in range(n)))

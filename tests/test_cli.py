@@ -221,6 +221,26 @@ def test_color_6reg_exits_3_when_the_search_budget_runs_out(capsys, monkeypatch)
     capsys.readouterr()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (cli, "gen_named", ["gen", "k20000"]),
+    (constructions, "classify_6regular",
+     ["color", "circ:20000000:1,2,3", "--construction", "6reg"]),
+    (fileio, "read_graph", ["solve", "huge.g", "--defects", "0,0,0,1"]),
+])
+def test_out_of_memory_exits_2(module, name, argv, tmp_path, capsys, monkeypatch):
+    # An input too large to build is unusable input, not an UNSAT verdict.
+    (tmp_path / "huge.g").write_text("p edge 30000000 0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, name, _out_of_memory)
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "Traceback" not in out.out + out.err
+
+
 # An unlucky vertex order: without restarts the proper 4-coloring search took
 # about 5 s on circ:58:5,11,16, ran past 60 s on circ:77:1,20,21, and took
 # 2.2 * 10**6 nodes on grid:4x13,2.

@@ -1,7 +1,10 @@
 """Coloring pipelines: cut-and-contract, patterns, 6-regular dispatch."""
+import collections
 import functools
+import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -328,8 +331,25 @@ def test_color_6regular_dispatch():
     _check_6reg(GridSpec(7, 2, 4), "0,0,0,1")                      # G_14[1,2,3]
 
 
+def test_6regular_certificates_digest_is_pinned():
+    # One hash over every certificate of a fixed pool that reaches each
+    # branch of the 6-regular dispatcher: a change to a pattern, to the map
+    # that carries it, to the search or to a provenance string moves it.
+    specs = all_valid_grids(30) + unit_family_circulants(40)
+    h, kinds = hashlib.sha256(), collections.Counter()
+    for spec in specs:
+        cert = color_6regular(spec)
+        kinds[re.match(r"6reg-[a-z0-9]+(-[a-z0-9]+)?", cert.provenance).group()] += 1
+        h.update(repr((spec.token(), cert.provenance, str(cert.defects), cert.coloring,
+                       cert.mono_edges)).encode())
+    assert kinds == {"6reg-proper4-solve": 1276, "6reg-pattern-123": 320,
+                     "6reg-pattern-sporadic": 84, "6reg-grid-as": 26, "6reg-t11": 11,
+                     "6reg-small-exception": 6, "6reg-k7": 3}
+    assert h.hexdigest() == "e324d5ccd48fd71bdfc105bfb5b7948af5cf6f2a7eeb465b7bbaf46708ada662"
+
+
 def test_color_6regular_classifies_a_grid_once(monkeypatch):
-    # The grid's verdict carries the circulant it matched and its unit.
+    # The grid's verdict carries the circulant it matched and its map onto it.
     calls = []
 
     def counting(spec):

@@ -6,7 +6,7 @@ from torodef import (CirculantSpec, DefectVector, GridSpec, InvalidSpec,
                      gen_named, solve)
 from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, _exception_graphs,
                                 _r_forms, canonical_offset, grid_as_circulant, unit_image)
-from .conftest import all_valid_grids, classify_against_search
+from .conftest import all_valid_grids, classify_against_search, unit_family_circulants
 
 
 # --- circulants -------------------------------------------------------------
@@ -176,19 +176,25 @@ def test_classifier_matches_exact_search_on_circulant_families():
 
 
 def test_every_multi_column_grid_up_to_49_vertices_classifies():
-    # The isomorphism search places each grid at desk scale; an exception
-    # verdict's witness maps its listed graph's edges onto the grid's.
+    # The isomorphism search places each grid at desk scale.  A verdict with
+    # a listed circulant, for those grids and for the unit-family circulants,
+    # maps the spec's graph onto that circulant: a bijection of the vertices
+    # that sends edges to edges.
     specs = [spec for spec in all_valid_grids(49) if spec.n > 1]
     assert len(specs) == 602
-    for spec in specs:
+    circulants = unit_family_circulants(30)
+    assert len(circulants) == 471
+    mapped = 0
+    for spec in specs + circulants:
         cls = classify_6regular(spec)
-        if cls.witness is None:
+        assert (cls.to_listed is None) == (cls.reduced is None), spec.token()
+        if cls.reduced is None:
             continue
-        w = cls.witness
-        assert sorted(w) == list(range(cls.graph.n)), spec.token()
-        assert any(all(w[v] in cls.graph.adj[w[u]] for u, v in listed.edges())
-                   for listed, case, cspec in _exception_graphs(cls.graph.n)
-                   if (case, cspec) == (cls.case, cls.reduced)), spec.token()
+        f, listed = cls.to_listed, gen_circulant(cls.reduced)
+        assert sorted(f) == list(range(cls.graph.n)), spec.token()
+        assert all(f[v] in listed.adj[f[u]] for u, v in cls.graph.edges()), spec.token()
+        mapped += 1
+    assert mapped == 216
     for spec in (GridSpec(5, 5, 1), GridSpec(7, 7, 1)):
         assert classify_6regular(spec).four_colorable, spec.token()
 
