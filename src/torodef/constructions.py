@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .embedding import RotationSystem, contract_path, shortest_path
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
-                         classify_6regular, _r_forms)
+                         classify_6regular, _characters, _r_forms)
 from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, build_graph, degeneracy,
                     induced_subgraph, verify_coloring)
 from .iso import are_isomorphic
@@ -359,8 +359,10 @@ def _by_solve(g: Graph, d: DefectVector, tag: str) -> Certificate:
 def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
     """Certificate for any simple 6-regular spec.
 
-    Non-exceptions get a proper 4-coloring: a pattern where available, else
-    the budgeted :func:`_search`, for a coloring Yeh and Zhu prove exists (an
+    Non-exceptions get a proper 4-coloring: the circle map of a character
+    of the spec's translation group onto Z_N where one turns every generator
+    a quarter (a circular coloring, Zhu, Discrete Math. 229, 2001), else the
+    budgeted :func:`_search`, for a coloring Yeh and Zhu prove exists (an
     exhausted budget raises :class:`PipelineError`).  Exceptions dispatch per case:
     K7 to (0,0,0,3), T11 to (0,0,0,2), the six small grids to search, and
     the circulant families to the pattern of the listed circulant the
@@ -372,8 +374,21 @@ def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
 
 
 def _color_classified(spec: Union[GridSpec, CirculantSpec], cls: Classification) -> Certificate:
-    """:func:`color_6regular` given the spec's classification."""
+    """:func:`color_6regular` given the spec's classification.
+
+    A 4-colorable verdict is first colored by the circle map of a character
+    chi (see :func:`_characters`) that turns each generator g at least a
+    quarter turn, 4 * min(chi(g), n - chi(g)) >= n: v takes 4 * chi(v) // n + 1.
+    The ends of an edge differ by +-chi(g), so they are at least n/4 apart
+    on the circle Z_n; two values in one quarter [c*n/4, (c+1)*n/4) are less
+    than n/4 apart; so no edge is monochromatic.
+    """
     g, n = cls.graph, cls.graph.n
+    if cls.four_colorable:
+        for label, images, chi in _characters(spec):
+            if all(4 * min(x, n - x) >= n for x in images):
+                return make_certificate(g, tuple(4 * chi(v) // n + 1 for v in range(n)),
+                                        DefectVector.of(0, 0, 0, 0), f"6reg-circle({label})")
     if cls.reduced is None:
         if cls.four_colorable:
             return _by_solve(g, DefectVector.of(0, 0, 0, 0), "6reg-proper4-solve")

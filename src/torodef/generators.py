@@ -130,15 +130,6 @@ def gen_grid(spec: GridSpec) -> tuple[Graph, RotationSystem]:
     return g, rot
 
 
-def grid_as_circulant(spec: GridSpec) -> CirculantSpec:
-    """G[m x 1, k] equals the circulant G_m[1, k-2, k-1] on the same labels."""
-    if spec.n != 1:
-        raise ValueError("only single-column grids are circulants by construction")
-    offs = {canonical_offset(1, spec.m), canonical_offset(spec.k - 2, spec.m),
-            canonical_offset(spec.k - 1, spec.m)}
-    return CirculantSpec(spec.m, frozenset(offs))
-
-
 def canonical_offset(x: int, n: int) -> int:
     """Reduce a difference mod n to the canonical offset in 1..n//2."""
     x %= n
@@ -228,17 +219,17 @@ class Classification:
     """Verdict for one 6-regular spec: either 4-colorable or an exception.
 
     ``graph`` is the spec's graph, built and validated by the classifier.
-    ``case`` names the item of the Yeh-Zhu list the spec falls in: "1" for a
-    graph of the six small grids, "4" for a unit image of G_n[1,2,3] (an
+    ``case`` names the item of the Yeh-Zhu list the spec falls in: "1" for
+    the six small grids, "4" for a unit image of G_n[1,2,3] (an
     exception exactly when 4 does not divide n, so a "4" verdict may be
     4-colorable) and "5" for a unit image of a sporadic G_n[1,r,r+1]; it is
     None for every other 4-colorable spec.  In cases "4" and "5",
     ``reduced`` is the listed circulant G_n[1,2,3] or G_n[1,r,r+1] and
     ``to_listed`` an isomorphism from ``graph`` onto it: ``to_listed[v]`` is
-    the vertex of ``reduced`` that vertex v maps to.  For a circulant or a
-    single-column grid it is v -> p * v mod n, p the unit that carries the
-    offsets to the reduced ones; a multi-column grid is matched to the
-    listed graph by isomorphism, and ``to_listed`` is that witness inverted.
+    the vertex of ``reduced`` that vertex v maps to.  For a circulant it is
+    v -> p * v mod n, p the unit that carries the offsets to the reduced
+    ones; for a grid it is v -> p * chi(v) mod n, chi the character of
+    :func:`classify_6regular` that makes the grid a circulant.
     """
 
     graph: Graph = field(repr=False)
@@ -276,67 +267,71 @@ def _validate_6regular(spec: Union[GridSpec, CirculantSpec]) -> Graph:
     return g
 
 
-def _exception_graphs(order: int):
-    """The exception graphs of the given order, one circulant per unit
-    class, with provenance.
+def _characters(spec: Union[GridSpec, CirculantSpec]):
+    """Yield each homomorphism chi from the spec's translation group to Z_N,
+    N the vertex count, as (label, images, chi): ``images`` are chi's values
+    on the three generators and ``chi(v)`` its value at vertex v.
 
-    Yields (graph, case, circulant spec or None): the small exception grids
-    of that order, then G_n[1,2,3] when 4 does not divide n, then the
-    sporadic pairs in ascending r, skipping a pair whose circulant is a unit
-    image of one already yielded (the two are isomorphic).  Every circulant
-    that :func:`classify_6regular` rules an exception is a unit image of one
-    yielded here.  Used to recognize multi-column grid specs whose
-    graphs coincide with a listed exception under relabeling.
+    A circulant's generators are its offsets, and chi(v) = t*v.  A grid
+    G[m x n, k] is Z^2 / <m*s, n*e - (k-1)*s>, s one row down and e one
+    column right, with generators s, e and e - s.  chi(s) = i*n and
+    chi(e) = j*m + (k-1)*i (mod mn), for 0 <= i < m and 0 <= j < n, are
+    exactly the solutions of m*chi(s) = 0 and n*chi(e) = (k-1)*chi(s); vertex
+    (i', j'), label i'*n + j', gets i'*chi(s) + j'*chi(e).
     """
-    for gspec in SMALL_EXCEPTION_GRIDS:
-        if gspec.m * gspec.n == order:
-            yield gen_grid(gspec)[0], "1", None
-    listed = [(2, "4")] if order % 4 else []
-    listed += [(r, "5") for r, n in sorted(SPORADIC_PAIRS) if n == order]
-    yielded: set[int] = set()
-    for r, case in listed:
-        cspec = CirculantSpec(order, frozenset({1, r, r + 1}))
-        if yielded.isdisjoint(r1 for _, r1 in _r_forms(cspec)):
-            yielded.add(r)
-            yield gen_circulant(cspec), case, cspec
-
-
-def _classify_grid_by_isomorphism(g: Graph) -> Classification:
-    """Place a multi-column grid's graph by comparing it against same-order
-    exception graphs; grid parameters alone do not determine membership
-    because distinct specs can describe isomorphic graphs."""
-    from .iso import are_isomorphic
-    for candidate, case, cspec in _exception_graphs(g.n):
-        ok, witness = are_isomorphic(candidate, g)
-        if ok:
-            to_listed = None if cspec is None else tuple(sorted(witness, key=witness.get))
-            return Classification(g, False, case=case, reduced=cspec, to_listed=to_listed)
-    return Classification(g, True)
+    if isinstance(spec, CirculantSpec):
+        n, offsets = spec.n, sorted(spec.offsets)
+        for t in range(n):
+            yield f"t={t}", tuple(t * x % n for x in offsets), lambda v, t=t: t * v % n
+        return
+    m, n, N = spec.m, spec.n, spec.m * spec.n
+    for i in range(m):
+        for j in range(n):
+            a, b = i * n, (j * m + (spec.k - 1) * i) % N
+            yield (f"s={a},e={b}", (a, b, (b - a) % N),
+                   lambda v, a=a, b=b: (v // n * a + v % n * b) % N)
 
 
 def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
     """Place a valid simple 6-regular spec in the 4-colorability landscape.
 
     This is the one membership decision for the Yeh-Zhu exception list.  A
-    grid spec on the small-grid list is case "1"; a single-column grid is
-    rewritten as the circulant on the same labels; any other multi-column
-    grid is matched by isomorphism against :func:`_exception_graphs`.  A
-    circulant is brought to a form G_n[1,r,r+1] by unit multiplication:
-    it is case "4" when some unit reaches G_n[1,2,3] (an exception unless
-    4 divides n), else case "5" when some unit reaches a sporadic pair, else
-    4-colorable.  See :class:`Classification` for the fields.
+    grid spec on the small-grid list is case "1".  A circulant is brought
+    to a form G_n[1,r,r+1] by unit multiplication: it is case "4" when some
+    unit reaches G_n[1,2,3] (an exception unless 4 divides n), else case "5"
+    when some unit reaches a sporadic pair, else 4-colorable.  See
+    :class:`Classification` for the fields.
+
+    Any other grid G[m x n, k] is placed by its translation group, of which
+    it is the Cayley graph on +-s, +-e, +-(e - s) (see :func:`_characters`).
+    The group is cyclic exactly when gcd(m, n, k-1), its first invariant
+    factor, is 1; if not, the grid is 4-colorable.  If so, a character chi
+    with gcd(chi(s), chi(e), N) = 1 is an isomorphism onto Z_N and the grid
+    is the circulant G_N[chi(s), chi(e), chi(e) - chi(s)], classified as
+    above (4-colorable without a form G_N[1,r,r+1]); ``to_listed`` is
+    v -> p * chi(v).  A single-column grid G[m x 1, k] gets chi(v) = v: it
+    is G_m[1, k-1, k-2] on its own labels.  No exception is missed: an isomorphism onto a listed
+    graph carries the translations to a regular abelian group of its
+    automorphisms.  For N >= 9 the 4-cliques of G_N[1,2,3] are the runs
+    {v, ..., v+3}, consecutive exactly when they share three vertices, so
+    its automorphism group is dihedral, whose one abelian subgroup of order
+    N is the rotations: the isomorphism is v -> p*v + c, which the unit
+    search finds.  The sporadic orders (at most 37), the small grids (at
+    most 25 vertices) and N < 9 are checked against an isomorphism oracle on
+    every multi-column grid up to 49 vertices.
     """
     g = _validate_6regular(spec)
+    n, chi = g.n, None
     if isinstance(spec, GridSpec):
         if spec in SMALL_EXCEPTION_GRIDS:
             return Classification(g, False, case="1")
-        if spec.n > 1:
-            return _classify_grid_by_isomorphism(g)
-        spec = grid_as_circulant(spec)
+        if math.gcd(spec.m, spec.n, spec.k - 1) != 1:
+            return Classification(g, True)
+        _, images, chi = next(c for c in _characters(spec) if math.gcd(*c[1], n) == 1)
+        spec = CirculantSpec(n, frozenset(canonical_offset(x, n) for x in images))
 
-    n = spec.n
     forms = _r_forms(spec)
-    if not forms:
+    if not forms and chi is None:
         raise InvalidSpec(
             f"{spec.token()} is not unit-equivalent to any G_n[1,r,r+1]; "
             "its toroidality is not established by this classifier")
@@ -345,6 +340,7 @@ def classify_6regular(spec: Union[GridSpec, CirculantSpec]) -> Classification:
     if not listed:
         return Classification(g, True)
     p, r = listed[0]
+    labels = range(n) if chi is None else map(chi, range(n))
     return Classification(g, r == 2 and n % 4 == 0, case="4" if r == 2 else "5",
                           reduced=CirculantSpec(n, frozenset({1, r, r + 1})),
-                          to_listed=tuple(p * v % n for v in range(n)))
+                          to_listed=tuple(p * x % n for x in labels))

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite, including the independent oracles
 (planarity, girth, cycle signatures, the all-roots shortest non-contractible
-cycle, brute-force isomorphism) that the package itself never calls."""
+cycle, brute-force isomorphism, the grid classification by isomorphism, the
+single-column grid as a circulant) that the package itself never calls."""
 import contextlib
 import functools
 import itertools
@@ -11,11 +12,13 @@ import signal
 import networkx as nx
 import pytest
 
-from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, build_graph,
-                     classify_6regular, edge_signatures, euler_genus, gen_circulant, gen_grid,
-                     solve, solve_with_precoloring)
+from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, are_isomorphic,
+                     build_graph, classify_6regular, edge_signatures, euler_genus, gen_circulant,
+                     gen_grid, solve, solve_with_precoloring)
 from torodef.embedding import _canonical_cycle, contract_path, shortest_path
-from torodef.generators import CirculantSpec, GridSpec, _delete_vertex
+from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, CirculantSpec,
+                                Classification, GridSpec, _delete_vertex, _r_forms,
+                                canonical_offset)
 
 
 def planarity_check(g) -> bool:
@@ -188,6 +191,51 @@ def classify_against_search(spec):
     found = solve(g, DefectVector.of(0, 0, 0, 0)).status == SAT
     assert found == cls.four_colorable, f"classification of {spec.token()} contradicts exact search"
     return cls
+
+
+def grid_as_circulant(spec: GridSpec) -> CirculantSpec:
+    """G[m x 1, k] written out as the circulant G_m[1, k-2, k-1] on the same
+    labels, from the definition of the grid rather than its characters."""
+    assert spec.n == 1, "only single-column grids are circulants by construction"
+    offs = {canonical_offset(1, spec.m), canonical_offset(spec.k - 2, spec.m),
+            canonical_offset(spec.k - 1, spec.m)}
+    return CirculantSpec(spec.m, frozenset(offs))
+
+
+def exception_graphs(order: int):
+    """The exception graphs of the given order, one circulant per unit
+    class, with provenance.
+
+    Yields (graph, case, circulant spec or None): the small exception grids
+    of that order, then G_n[1,2,3] when 4 does not divide n, then the
+    sporadic pairs in ascending r, skipping a pair whose circulant is a unit
+    image of one already yielded (the two are isomorphic).  Every circulant
+    that ``classify_6regular`` rules an exception is a unit image of one
+    yielded here.
+    """
+    for gspec in SMALL_EXCEPTION_GRIDS:
+        if gspec.m * gspec.n == order:
+            yield gen_grid(gspec)[0], "1", None
+    listed = [(2, "4")] if order % 4 else []
+    listed += [(r, "5") for r, n in sorted(SPORADIC_PAIRS) if n == order]
+    yielded: set[int] = set()
+    for r, case in listed:
+        cspec = CirculantSpec(order, frozenset({1, r, r + 1}))
+        if yielded.isdisjoint(r1 for _, r1 in _r_forms(cspec)):
+            yielded.add(r)
+            yield gen_circulant(cspec), case, cspec
+
+
+def classify_grid_by_isomorphism(g) -> Classification:
+    """The verdict on a multi-column grid's graph by isomorphism against the
+    same-order :func:`exception_graphs`: the oracle for the package's
+    classification of grids by their translation group."""
+    for candidate, case, cspec in exception_graphs(g.n):
+        ok, witness = are_isomorphic(candidate, g)
+        if ok:
+            to_listed = None if cspec is None else tuple(sorted(witness, key=witness.get))
+            return Classification(g, False, case=case, reduced=cspec, to_listed=to_listed)
+    return Classification(g, True)
 
 
 def random_connected_graph(rng: random.Random, n: int):

@@ -26,11 +26,10 @@ from torodef.constructions import (apply_pattern, color_0004, color_00002,
                                    color_600001, pattern_circ123,
                                    pattern_exception)
 from torodef.embedding import trace_faces, euler_genus
-from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS,
-                                grid_as_circulant, unit_image)
+from torodef.generators import SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, unit_image
 from torodef.cli import main as cli_main
 from .conftest import (admits_mono_at_most, all_valid_grids, cut_observations,
-                       random_connected_graph)
+                       grid_as_circulant, random_connected_graph)
 
 
 def _report(num, desc, failures):

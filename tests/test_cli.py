@@ -213,12 +213,19 @@ def test_color_exits_3_when_the_planar_budget_runs_out(tmp_path, capsys, monkeyp
 
 def test_color_6reg_exits_3_when_the_search_budget_runs_out(capsys, monkeypatch):
     monkeypatch.setattr(constructions, "_NODE_BUDGET", 0)
-    assert run(["color", "circ:77:1,20,21", "--construction", "6reg"]) == 3
+    assert run(["color", "grid:49x1,20", "--construction", "6reg"]) == 3
     out = capsys.readouterr()
     assert out.err.startswith("error:") and "Traceback" not in out.out + out.err
     # A pattern spends no budget.
     assert run(["color", "circ:13:1,2,3", "--construction", "6reg"]) == 0
     capsys.readouterr()
+
+
+def test_color_6reg_at_four_thousand_vertices(capsys):
+    # 4001 is prime: the search ran out of budget here before the circle map.
+    with time_gate(10):
+        assert run(["color", "circ:4001:1,63,64", "--construction", "6reg"]) == 0
+    assert "construction 6reg-circle(t=" in capsys.readouterr().out
 
 
 def _out_of_memory(*args, **kwargs):
@@ -243,7 +250,8 @@ def test_out_of_memory_exits_2(module, name, argv, tmp_path, capsys, monkeypatch
 
 # An unlucky vertex order: without restarts the proper 4-coloring search took
 # about 5 s on circ:58:5,11,16, ran past 60 s on circ:77:1,20,21, and took
-# 2.2 * 10**6 nodes on grid:4x13,2.
+# 2.2 * 10**6 nodes on grid:4x13,2.  All three now color by the circle map;
+# test_search_is_deterministic_across_restarts times the search on them.
 @pytest.mark.parametrize("token", ["circ:77:1,20,21", "grid:4x13,2", "circ:58:5,11,16"])
 def test_color_6reg_heavy_tailed_searches_finish(token, tmp_path, capsys):
     base, cert = str(tmp_path / "g"), str(tmp_path / "cert")

@@ -4,9 +4,10 @@ import pytest
 from torodef import (CirculantSpec, DefectVector, GridSpec, InvalidSpec,
                      are_isomorphic, classify_6regular, gen_circulant, gen_grid,
                      gen_named, solve)
-from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, _exception_graphs,
-                                _r_forms, canonical_offset, grid_as_circulant, unit_image)
-from .conftest import all_valid_grids, classify_against_search, unit_family_circulants
+from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, _r_forms,
+                                canonical_offset, unit_image)
+from .conftest import (all_valid_grids, classify_against_search, classify_grid_by_isomorphism,
+                       exception_graphs, grid_as_circulant, unit_family_circulants)
 
 
 # --- circulants -------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_exception_membership_by_case():
 
 def test_exception_graphs_yield_one_circulant_per_unit_class():
     for n in range(7, 50):  # a simple 6-regular graph has at least 7 vertices
-        circulants = [c for _, _, c in _exception_graphs(n) if c is not None]
+        circulants = [c for _, _, c in exception_graphs(n) if c is not None]
         assert (CirculantSpec(n, frozenset({1, 2, 3})) in circulants) == (n % 4 != 0), n
         rs = [sorted(c.offsets)[1] for c in circulants]
         for i, c in enumerate(circulants):
@@ -176,10 +177,11 @@ def test_classifier_matches_exact_search_on_circulant_families():
 
 
 def test_every_multi_column_grid_up_to_49_vertices_classifies():
-    # The isomorphism search places each grid at desk scale.  A verdict with
-    # a listed circulant, for those grids and for the unit-family circulants,
-    # maps the spec's graph onto that circulant: a bijection of the vertices
-    # that sends edges to edges.
+    # The translation-group rule gives the isomorphism oracle's verdict on
+    # every grid at desk scale, which covers the orders the rule's proof
+    # leaves to a check.  A verdict with a listed circulant, for those grids
+    # and for the unit-family circulants, maps the spec's graph onto that
+    # circulant: a bijection of the vertices that sends edges to edges.
     specs = [spec for spec in all_valid_grids(49) if spec.n > 1]
     assert len(specs) == 602
     circulants = unit_family_circulants(30)
@@ -187,6 +189,9 @@ def test_every_multi_column_grid_up_to_49_vertices_classifies():
     mapped = 0
     for spec in specs + circulants:
         cls = classify_6regular(spec)
+        if isinstance(spec, GridSpec):
+            oracle = classify_grid_by_isomorphism(cls.graph)
+            assert cls.four_colorable == oracle.four_colorable, spec.token()
         assert (cls.to_listed is None) == (cls.reduced is None), spec.token()
         if cls.reduced is None:
             continue
@@ -194,7 +199,9 @@ def test_every_multi_column_grid_up_to_49_vertices_classifies():
         assert sorted(f) == list(range(cls.graph.n)), spec.token()
         assert all(f[v] in listed.adj[f[u]] for u, v in cls.graph.edges()), spec.token()
         mapped += 1
-    assert mapped == 216
+    # 216 listed verdicts of the oracle's, and 29 grids that are unit images
+    # of G_N[1,2,3] with 4 | N: 4-colorable, so the oracle lists none of them.
+    assert mapped == 245
     for spec in (GridSpec(5, 5, 1), GridSpec(7, 7, 1)):
         assert classify_6regular(spec).four_colorable, spec.token()
 
