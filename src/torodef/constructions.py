@@ -288,8 +288,8 @@ PATTERN_CLASS = {"a": 1, "b": 2, "c": 3, "d": 4}
 def pattern_circ123(n: int) -> str:
     """Coloring pattern for G_n[1,2,3] over the alphabet a,b,c,d.
 
-    Periodic ``abcd`` blocks with one doubled-``d`` block per residue step;
-    a multiple of four uses the plain proper pattern.  Verifies as
+    Periodic ``abcd`` blocks with one doubled-``d`` block per residue step
+    (none for a multiple of four, which is properly colored).  Verifies as
     (0,0,0,1) with at most three monochromatic edges, all in class d.
     """
     if n == 7 or n == 11:
@@ -297,10 +297,7 @@ def pattern_circ123(n: int) -> str:
     if n <= 7:
         raise ValueError(f"pattern requires n > 7, got {n}")
     rem = n % 4
-    if rem == 0:
-        return "abcd" * (n // 4)
-    blocks = {1: 1, 2: 2, 3: 3}[rem]
-    return "abcd" * ((n - 5 * blocks) // 4) + "abcdd" * blocks
+    return "abcd" * ((n - 5 * rem) // 4) + "abcdd" * rem
 
 
 _DIRECT_EXCEPTION_PATTERNS = {

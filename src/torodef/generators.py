@@ -55,7 +55,7 @@ class GridSpec:
     @property
     def valid(self) -> bool:
         """True when the spec yields a simple 6-regular graph."""
-        return _grid_collapse(self.m, self.n, self.k) is None
+        return _simple_6regular(self)
 
 
 def _grid_neighbors(m: int, n: int, k: int, i: int, j: int) -> list[tuple[int, int]]:
@@ -79,20 +79,19 @@ def _grid_neighbors(m: int, n: int, k: int, i: int, j: int) -> list[tuple[int, i
     return [e, ne, north, w, sw, s]
 
 
-def _grid_collapse(m: int, n: int, k: int) -> Optional[tuple]:
-    """First self-loop or collapsed neighbor pair, or None when simple."""
-    for i in range(m):
-        for j in range(n):
-            nbrs = _grid_neighbors(m, n, k, i, j)
-            if (i, j) in nbrs:
-                return ((i, j), (i, j))
-            if len(set(nbrs)) != 6:
-                seen = set()
-                for x in nbrs:
-                    if x in seen:
-                        return ((i, j), x)
-                    seen.add(x)
-    return None
+def _simple_6regular(spec: Union[GridSpec, CirculantSpec]) -> bool:
+    """True when the spec's graph is simple and 6-regular, decided at vertex 0.
+
+    Both families are Cayley graphs of an abelian group: a grid's vertex x
+    has the neighbors x + {+-s, +-e, +-(e - s)}, so a self-loop or a collapsed
+    pair is a property of the group, not of x.  A circulant's offsets lie in
+    1..n/2, so its six +-x are distinct and nonzero exactly when there are
+    three offsets and none is n/2.
+    """
+    if isinstance(spec, CirculantSpec):
+        return len(spec.offsets) == 3 and 2 * max(spec.offsets) != spec.n
+    nbrs = _grid_neighbors(spec.m, spec.n, spec.k, 0, 0)
+    return (0, 0) not in nbrs and len(set(nbrs)) == 6
 
 
 def gen_circulant(spec: CirculantSpec) -> Graph:
@@ -104,29 +103,29 @@ def gen_circulant(spec: CirculantSpec) -> Graph:
     return build_graph(spec.n, edges)
 
 
+def _grid_rows(spec: GridSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """The graph of a valid grid spec and its rotation rows, no embedding:
+    row i*n + j lists the neighbors of (i, j) as :func:`_grid_neighbors` does."""
+    m, n, k = spec.m, spec.n, spec.k
+    rows = tuple(tuple(a * n + b for a, b in _grid_neighbors(m, n, k, i, j))
+                 for i in range(m) for j in range(n))
+    return build_graph(m * n, ((v, w) for v, row in enumerate(rows) for w in row)), rows
+
+
 def gen_grid(spec: GridSpec) -> tuple[Graph, RotationSystem]:
     """Build G[m x n, k] with its canonical toroidal rotation system.
 
     The rotation at (i, j) lists the six neighbors east, north-east, north,
-    west, south-west, south; the traced faces are checked to be triangles
-    with Euler genus 2 rather than assumed.
+    west, south-west, south.  Graph and rows come from :func:`_grid_rows`,
+    which the classifier calls without building an embedding; the traced
+    faces are checked to be triangles with Euler genus 2 rather than assumed.
     """
-    m, n, k = spec.m, spec.n, spec.k
-    bad = _grid_collapse(m, n, k)
-    if bad is not None:
-        raise InvalidSpec(
-            f"G[{m}x{n},{k}] is not simple 6-regular: neighbor {bad[1]} of {bad[0]} collapses")
-    rot_rows = []
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            nbrs = [a * n + b for a, b in _grid_neighbors(m, n, k, i, j)]
-            rot_rows.append(tuple(nbrs))
-            edges.extend((i * n + j, w) for w in nbrs)
-    g = build_graph(m * n, edges)
-    rot = RotationSystem(g, tuple(rot_rows))
+    if not spec.valid:
+        raise InvalidSpec(f"{spec.token()} is not simple 6-regular")
+    g, rows = _grid_rows(spec)
+    rot = RotationSystem(g, rows)
     if rot.genus != 2 or any(len(f) != 3 for f in rot.faces):
-        raise AssertionError(f"canonical embedding of G[{m}x{n},{k}] is not a torus triangulation")
+        raise AssertionError(f"canonical embedding of {spec.token()} is not a torus triangulation")
     return g, rot
 
 
@@ -218,7 +217,8 @@ def _offsets_r_form(offsets: frozenset[int]) -> Optional[int]:
 class Classification:
     """Verdict for one 6-regular spec: either 4-colorable or an exception.
 
-    ``graph`` is the spec's graph, built and validated by the classifier.
+    ``graph`` is the spec's graph, validated and built by the classifier
+    from the spec's offsets or grid rows, with no embedding.
     ``case`` names the item of the Yeh-Zhu list the spec falls in: "1" for
     the six small grids, "4" for a unit image of G_n[1,2,3] (an
     exception exactly when 4 does not divide n, so a "4" verdict may be
@@ -259,12 +259,11 @@ def _r_forms(spec: CirculantSpec) -> list[tuple[int, int]]:
 
 
 def _validate_6regular(spec: Union[GridSpec, CirculantSpec]) -> Graph:
-    if isinstance(spec, GridSpec):
-        return gen_grid(spec)[0]
-    g = gen_circulant(spec)
-    if any(g.degree(v) != 6 for v in range(g.n)):
-        raise InvalidSpec(f"{spec.token()} is not 6-regular")
-    return g
+    """The spec's graph, built without an embedding; InvalidSpec unless it
+    is simple 6-regular."""
+    if not _simple_6regular(spec):
+        raise InvalidSpec(f"{spec.token()} is not simple 6-regular")
+    return _grid_rows(spec)[0] if isinstance(spec, GridSpec) else gen_circulant(spec)
 
 
 def _characters(spec: Union[GridSpec, CirculantSpec]):

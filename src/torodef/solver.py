@@ -18,11 +18,11 @@ ground truth the search is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Optional
 
-from .graph import Coloring, DefectVector, Graph, verify_coloring
+from .graph import Coloring, DefectVector, Graph, VerificationReport, verify_coloring
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -35,15 +35,17 @@ class SolveResult:
     coloring: Optional[Coloring]
     nodes: int
     violation: Optional[tuple] = None  # witness for inconsistent precolorings
+    # The search's own check of a SAT coloring, a function of the coloring.
+    report: Optional[VerificationReport] = field(default=None, compare=False, repr=False)
 
 
 def solve(g: Graph, d: DefectVector, node_budget: Optional[int] = None) -> SolveResult:
     """Decide whether ``g`` admits a coloring meeting ``d``.
 
-    SAT results carry a coloring that passes :func:`verify_coloring`; UNSAT
-    is exact.  When ``node_budget`` is exhausted the distinguished status
-    INDETERMINATE is returned (never silently UNSAT); a negative budget
-    raises ValueError.  Deterministic.
+    SAT results carry a coloring that passes :func:`verify_coloring`, with
+    that check's report; UNSAT is exact.  When ``node_budget`` is exhausted
+    the distinguished status INDETERMINATE is returned (never silently
+    UNSAT); a negative budget raises ValueError.  Deterministic.
     """
     return solve_with_precoloring(g, {}, d, node_budget=node_budget)
 
@@ -233,7 +235,7 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     report = verify_coloring(g, out, d)
     if not report.valid:
         raise AssertionError("search returned a coloring the verifier rejects")
-    return SolveResult(SAT, out, nodes)
+    return SolveResult(SAT, out, nodes, report=report)
 
 
 def enumerate_oracle(g: Graph, d: DefectVector, bound: int = 10 ** 8) -> SolveResult:

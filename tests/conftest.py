@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, including the independent oracles
 (planarity, girth, cycle signatures, the all-roots shortest non-contractible
 cycle, brute-force isomorphism, the grid classification by isomorphism, the
-single-column grid as a circulant) that the package itself never calls."""
+single-column grid as a circulant, the whole-grid collapse scan) that the
+package itself never calls."""
 import contextlib
 import functools
 import itertools
@@ -17,8 +18,8 @@ from torodef import (SAT, CycleCert, DefectVector, InvalidSpec, RotationSystem, 
                      gen_grid, solve, solve_with_precoloring)
 from torodef.embedding import _canonical_cycle, contract_path, shortest_path
 from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, CirculantSpec,
-                                Classification, GridSpec, _delete_vertex, _r_forms,
-                                canonical_offset)
+                                Classification, GridSpec, _delete_vertex, _grid_neighbors,
+                                _r_forms, canonical_offset)
 
 
 def planarity_check(g) -> bool:
@@ -150,6 +151,18 @@ def time_gate(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def grid_collapses(spec: GridSpec) -> bool:
+    """True when some vertex of the grid is its own neighbor or two of its
+    six neighbors coincide, scanned at every vertex: the oracle for the
+    package's validity check at vertex 0 alone."""
+    for i in range(spec.m):
+        for j in range(spec.n):
+            nbrs = _grid_neighbors(spec.m, spec.n, spec.k, i, j)
+            if (i, j) in nbrs or len(set(nbrs)) != 6:
+                return True
+    return False
 
 
 def all_valid_grids(max_vertices: int):

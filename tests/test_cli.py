@@ -7,7 +7,7 @@ import pytest
 
 from torodef import DefectVector, build_graph, gen_grid, gen_named, verify_coloring
 from torodef.generators import CirculantSpec, GridSpec
-from torodef import cli, constructions, fileio, generators
+from torodef import cli, constructions, fileio, generators, solver
 from torodef.cli import build_parser, main, parse_family_token
 from torodef.embedding import RotationSystem
 from .conftest import time_gate
@@ -164,6 +164,26 @@ def test_solve_star_mono_count(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_verifies_its_coloring_once(tmp_path, capsys, monkeypatch):
+    # The search checks its coloring before it returns it; the certificate's
+    # monochromatic edges come from that check, not from a second one.
+    c5 = str(tmp_path / "c5")
+    run(["gen", "c5", "--output", c5])
+    calls = []
+    for module in (solver, cli):  # every binding a module may call
+
+        def counting(*args, real=module.verify_coloring):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "verify_coloring", counting)
+    cert = str(tmp_path / "c5.cert")
+    assert run(["solve", c5 + ".g", "--defects", "0,1*", "--output", cert]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert run(["verify", c5 + ".g", cert]) == 0
+    capsys.readouterr()
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     t11 = str(tmp_path / "t11")
     run(["gen", "t11", "--output", t11])
@@ -298,11 +318,11 @@ def test_color_0003core_command(tmp_path, capsys):
 
 
 def test_color_6reg_builds_the_spec_graph_once(tmp_path, capsys, monkeypatch):
-    # The classifier's verdict carries the graph it built; exception
-    # candidates built for an isomorphism search are other specs.
-    built = []
+    # The classifier's verdict carries the graph it built, from the grid's
+    # rows or the circulant's offsets, and no embedding is built.
+    built, embedded = [], []
     for module in (generators, constructions, cli):  # every binding a module may call
-        for name in ("gen_grid", "gen_circulant"):
+        for name in ("_grid_rows", "gen_circulant"):
             if not hasattr(module, name):
                 continue
 
@@ -310,14 +330,20 @@ def test_color_6reg_builds_the_spec_graph_once(tmp_path, capsys, monkeypatch):
                 built.append(spec)
                 return real(spec)
             monkeypatch.setattr(module, name, counting)
+
+    def embedding(self, real=RotationSystem.__post_init__):
+        embedded.append(self)
+        real(self)
+    monkeypatch.setattr(RotationSystem, "__post_init__", embedding)
     cert = str(tmp_path / "cert")
-    for token, spec in (("grid:13x1,5", GridSpec(13, 1, 5)),
+    for token, spec in (("grid:13x1,5", GridSpec(13, 1, 5)), ("grid:4x4,1", GridSpec(4, 4, 1)),
                         ("circ:13:1,2,3", CirculantSpec(13, frozenset({1, 2, 3})))):
         built.clear()
         assert run(["color", token, "--construction", "6reg", "--output", cert]) == 0
-        assert built.count(spec) == 1, token
+        assert built == [spec] and embedded == [], token
         coloring, d, _ = fileio.read_certificate(open(cert))
         assert verify_coloring(parse_family_token(token)[0], coloring, d).valid
+        embedded.clear()
     for token in ("grid:2x2,1", "circ:13:1,2", "k7"):  # not simple 6-regular; not a spec
         assert run(["color", token, "--construction", "6reg"]) == 2, token
     capsys.readouterr()

@@ -1,13 +1,16 @@
 """Graph family generators and the 6-regular 4-colorability classifier."""
+import itertools
+
 import pytest
 
 from torodef import (CirculantSpec, DefectVector, GridSpec, InvalidSpec,
                      are_isomorphic, classify_6regular, gen_circulant, gen_grid,
                      gen_named, solve)
 from torodef.generators import (SMALL_EXCEPTION_GRIDS, SPORADIC_PAIRS, _r_forms,
-                                canonical_offset, unit_image)
+                                _simple_6regular, canonical_offset, unit_image)
 from .conftest import (all_valid_grids, classify_against_search, classify_grid_by_isomorphism,
-                       exception_graphs, grid_as_circulant, unit_family_circulants)
+                       exception_graphs, grid_as_circulant, grid_collapses,
+                       unit_family_circulants)
 
 
 # --- circulants -------------------------------------------------------------
@@ -28,6 +31,19 @@ def test_circulant_rejects_out_of_range_offsets():
         CirculantSpec(10, frozenset({6}))
     with pytest.raises(InvalidSpec):
         CirculantSpec(10, frozenset({0}))
+
+
+def test_circulant_validity_rule_matches_the_degrees():
+    # Three offsets, none n/2, exactly when every vertex has degree 6; the
+    # other sizes are checked on the smaller orders.
+    for n in range(3, 60):
+        sizes = (1, 2, 3, 4) if n < 20 else (3,)
+        for size in sizes:
+            for offs in itertools.combinations(range(1, n // 2 + 1), size):
+                spec = CirculantSpec(n, frozenset(offs))
+                g = gen_circulant(spec)
+                regular = all(g.degree(v) == 6 for v in range(n))
+                assert _simple_6regular(spec) == regular, spec.token()
 
 
 def test_canonical_offset():
@@ -71,6 +87,22 @@ def test_two_column_shift_one_collapses():
         with pytest.raises(InvalidSpec):
             gen_grid(spec)
     assert GridSpec(4, 2, 4).valid
+
+
+def test_grid_validity_at_vertex_0_matches_the_whole_grid_scan():
+    # Every spec up to 120 vertices; the builds of the valid ones are left
+    # to the triangulation test below, at fewer vertices.
+    for m in range(1, 121):
+        for n in range(1, 120 // m + 1):
+            for k in range(1, m + 1):
+                spec = GridSpec(m, n, k)
+                collapses = grid_collapses(spec)
+                assert spec.valid != collapses, spec.token()
+                if collapses:
+                    with pytest.raises(InvalidSpec):
+                        gen_grid(spec)
+                    with pytest.raises(InvalidSpec):
+                        classify_6regular(spec)
 
 
 def test_single_column_grid_equals_circulant_on_same_labels():
