@@ -1,4 +1,5 @@
 """Rotation systems, homology, shortest non-contractible cycles, cutting."""
+import hashlib
 import time
 
 import pytest
@@ -343,6 +344,27 @@ def test_sncc_matches_the_all_roots_search():
         if (cert.vertices, cert.signature) != (oracle, walk_signature(pair_signatures(rot), oracle)):
             differ.append(i)
     assert differ == []
+
+
+def test_torus_cut_digest_is_pinned():
+    # One hash over everything the torus cut derives from a rotation system
+    # (faces, per-dart signatures, cycle, cut) and the three certificates
+    # coloured on it: a change to the dart order, the BFS trees, the SNCC
+    # tie-break, the cut's rows or the planar colourer moves it.
+    rots = [(spec.token(), gen_grid(spec)[1]) for spec in all_valid_grids(49)[::4]]
+    rots += [(name, gen_named(name)[1]) for name in ("k7", "t11")]
+    rots += [(f"irregular:{seed}", irregular_torus(seed)) for seed in range(1, 21)]
+    assert len(rots) == 415
+    h = hashlib.sha256()
+    for token, rot in rots:
+        _, head, twin, _ = rot.darts
+        cut = rot.cut
+        certs = [(c.provenance, str(c.defects), c.coloring, c.mono_edges)
+                 for c in (color_600001(rot), color_00002(rot), color_0004(rot))]
+        h.update(repr((token, [[(head[twin[d]], head[d]) for d in f] for f in rot.faces],
+                       edge_signatures(rot), rot.sncc.vertices, rot.sncc.signature,
+                       cut.rot.rot, cut.u, cut.v, cut.orig, certs)).encode())
+    assert h.hexdigest() == "df8517596ced0dcb6cabd449028919db059c5a3ba2cd7ab6ebd1cb607bbb9f56"
 
 
 def test_shortest_path_and_contract_path():
