@@ -8,7 +8,9 @@ implements the two surgeries the coloring pipelines need: cutting the torus
 along a non-contractible cycle and contracting both copies to single
 vertices, with a genus-0 rotation system that certifies the result planar,
 and contracting a path into one vertex.  A rotation system keeps its dart
-table, faces, genus, shortest non-contractible cycle and cut once computed.
+table, root-0 BFS tree (shared by the signatures and the cycle search),
+faces, genus, shortest non-contractible cycle and cut once computed; rows
+become a graph through the one builder ``graph._graph_from_rows``.
 
 Darts are ints, and a face is a cycle of the face permutation succ . twin.
 Homology signatures are bitmasks over the ``eg`` leftover edges of the
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .graph import Graph, build_graph
+from .graph import Graph, _graph_from_rows, build_graph
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,8 @@ class RotationSystem:
         g = self.graph
         if len(self.rot) != g.n:
             raise ValueError("rotation must list every vertex")
-        for v in range(g.n):
-            if sorted(self.rot[v]) != sorted(g.adj[v]):
+        for v, row in enumerate(self.rot):
+            if len(row) != len(g.adj[v]) or set(row) != g.adj[v]:
                 raise ValueError(f"rotation at vertex {v} does not match its neighbors")
 
     @functools.cached_property
@@ -55,17 +58,29 @@ class RotationSystem:
         the next dart counterclockwise at d's tail.  Only this table maps
         vertex pairs to darts."""
         g = self.graph
-        off, head = [0], []
-        for a in g.adj:
-            head += sorted(a)
-            off.append(len(head))
-        dart = {(u, head[d]): d for u in range(g.n) for d in range(off[u], off[u + 1])}
-        twin = [dart[(w, u)] for u, w in dart]  # the dict lists its keys in dart order
+        head = [w for a in g.adj for w in sorted(a)]
+        off = [0, *accumulate(map(len, g.adj))]
+        dart = [{w: d for d, w in enumerate(head[off[u]:off[u + 1]], off[u])} for u in range(g.n)]
+        twin = [dart[w][u] for u in range(g.n) for w in head[off[u]:off[u + 1]]]
         succ = [0] * len(head)
         for u, row in enumerate(self.rot):
             for w, x in zip(row, row[1:] + row[:1]):
-                succ[dart[(u, w)]] = dart[(u, x)]
+                succ[dart[u][w]] = dart[u][x]
         return off, head, twin, succ
+
+    @functools.cached_property
+    def _tree(self) -> tuple[list[int], list[int]]:
+        """Root 0's BFS tree (smaller neighbors first) as per-vertex depth and parent, grown
+        once: the spanning tree of :func:`edge_signatures` and of the SNCC's class search."""
+        off, head, _, _ = self.darts
+        n = self.graph.n
+        order, dist, parent = [0], [0] + [-1] * (n - 1), [-1] * n
+        for u in order:  # the list grows while it is read: a FIFO queue
+            for w in head[off[u]:off[u + 1]]:
+                if dist[w] < 0:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    order.append(w)
+        return dist, parent
 
     @functools.cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -143,12 +158,14 @@ def euler_genus(rot: RotationSystem) -> int:
 
 
 def _connected(g: Graph) -> bool:
-    return g.n == 0 or len(_bfs_tree(_unsigned(g), 0, g.n)[0]) == g.n
-
-
-def _unsigned(g: Graph) -> list[list[tuple[int, int]]]:
-    """Neighbor lists for :func:`_bfs_tree`, sorted and with signature 0."""
-    return [[(w, 0) for w in sorted(g.adj[u])] for u in range(g.n)]
+    seen = [True] + [False] * (g.n - 1)
+    order = [0] if g.n else []
+    for u in order:  # the list grows while it is read: a FIFO queue
+        for w in g.adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    return len(order) == g.n
 
 
 def edge_signatures(rot: RotationSystem) -> list[int]:
@@ -160,13 +177,12 @@ def edge_signatures(rot: RotationSystem) -> list[int]:
     facial walk sums to zero; the ``eg`` leftover edges each carry one
     distinct bit.  Degenerate graphs are a ``ValueError``, as in :func:`euler_genus`.
     """
-    g = rot.graph
     eg = rot.genus
     faces = rot.faces
     _, head, twin, _ = rot.darts
 
-    # BFS spanning tree of the primal graph; the other edges by their smaller darts.
-    parent = _bfs_tree(_unsigned(g), 0, g.n)[2]
+    # Root 0's BFS tree spans the primal graph; the other edges by their smaller darts.
+    parent = rot._tree[1]
     nontree = [d for d, w in enumerate(head) if d < twin[d]
                and parent[w] != head[twin[d]] and parent[head[twin[d]]] != w]
 
@@ -221,13 +237,9 @@ def edge_signatures(rot: RotationSystem) -> list[int]:
 def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest rotation/reflection, anchored at min vertex."""
     vs = list(vertices)
-    best = None
-    for seq in (vs, vs[::-1]):
-        i = seq.index(min(seq))
-        rotated = tuple(seq[i:] + seq[:i])
-        if best is None or rotated < best:
-            best = rotated
-    return best
+    i = vs.index(min(vs))
+    ahead = tuple(vs[i:] + vs[:i])
+    return min(ahead, ahead[:1] + ahead[:0:-1])
 
 
 def _bfs_tree(nbrs: list[list[tuple[int, int]]], root: int, depth_cap: int
@@ -266,7 +278,8 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     """Shortest cycle with nonzero homology signature on the torus.
 
     The search is rooted on two crossing cycles.  Root 0's full BFS tree
-    gives, for each nonzero class, its shortest non-contractible fundamental
+    (the tree of :func:`edge_signatures`, whose edges have signature 0)
+    gives each nonzero class its shortest non-contractible fundamental
     cycle; the fundamental cycles span the homology, so at least two classes
     occur, and the two shortest cycles C1 and C2 lie in different nonzero
     classes.  On the torus the Z2 intersection form pairs any two distinct
@@ -297,11 +310,10 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     nbrs = [[(head[d], sig[d]) for d in range(off[u], off[u + 1])] for u in range(g.n)]
     higher = [[(w, s) for w, s in nbrs[u] if w > u] for u in range(g.n)]  # each edge once
 
-    _, dist, parent, psig = _bfs_tree(nbrs, 0, g.n)
+    dist, parent = rot._tree  # its edges have signature 0, so its prefix signatures are 0
     shortest: dict[int, list[int]] = {}  # nonzero class -> its shortest fundamental cycle
     for u in range(g.n):
         for w, s in higher[u]:
-            s ^= psig[u] ^ psig[w]
             if s:
                 cycle = _fundamental_cycle(dist, parent, u, w)
                 if s not in shortest or len(cycle) < len(shortest[s]):
@@ -333,12 +345,10 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
 
     cyc = set(cert.vertices)
     for i, v in enumerate(cert.vertices):
-        allowed = {cert.vertices[(i - 1) % cert.length], cert.vertices[(i + 1) % cert.length]}
-        if (g.adj[v] & cyc) - allowed:
+        if (g.adj[v] & cyc) - {cert.vertices[i - 1], cert.vertices[(i + 1) % cert.length]}:
             raise AssertionError("shortest non-contractible cycle is not induced")
-    for v in range(g.n):
-        if len(g.adj[v] & cyc) > 3:
-            raise AssertionError("vertex with more than 3 neighbors on the cycle")
+    if any(len(a & cyc) > 3 for a in g.adj):
+        raise AssertionError("vertex with more than 3 neighbors on the cycle")
     return cert
 
 
@@ -433,8 +443,7 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
     row_b = tuple(index[w] for i in range(k) for w in arcs_b[i] if keep[(w, b_idx)] == vs[i])
     rows += [row_a, row_b] if a_idx == u_idx else [row_b, row_a]
 
-    h = build_graph(len(rows), [(a, b) for a, row in enumerate(rows) for b in row if a < b])
-    cut = RotationSystem(h, tuple(rows))
+    cut = RotationSystem(_graph_from_rows(rows), tuple(rows))
     if cut.genus != 0:
         raise AssertionError("cut-and-contract produced a rotation of nonzero genus")
     return CutResult(cut, u_idx, v_idx, tuple(others) + (None, None))
@@ -442,11 +451,20 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
 
 def shortest_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
     """Breadth-first shortest u-v path; ties broken by exploring smaller
-    neighbor indices first."""
+    neighbor indices first.  The search stops once it reaches v."""
     if u == v or not 0 <= u < g.n:
         raise ValueError(f"need a vertex u in 0..{g.n - 1} and v != u, got u={u}, v={v}")
-    _, dist, parent, _ = _bfs_tree(_unsigned(g), u, g.n)
-    if not 0 <= v < g.n or dist[v] < 0:
+    if not 0 <= v < g.n:
+        raise ValueError(f"need a vertex v in 0..{g.n - 1}, got v={v}")
+    parent, order = {u: u}, [u]
+    for x in order:  # the list grows while it is read: a FIFO queue
+        for w in sorted(g.adj[x]):
+            if w not in parent:
+                parent[w] = x
+                order.append(w)
+        if v in parent:
+            break
+    else:
         raise ValueError(f"vertex {v} unreachable from {u}")
     path = [v]
     while path[-1] != u:
@@ -468,13 +486,8 @@ def contract_path(g: Graph, p: Sequence[int]) -> tuple[Graph, int, tuple[Optiona
     for a, b in zip(path, path[1:]):
         if b not in g.adj[a]:
             raise ValueError(f"({a}, {b}) is not an edge, so p is not a path")
-    others = sorted(v for v in range(g.n) if v not in pset)
-    index = {v: i for i, v in enumerate(others)}
+    others = [v for v in range(g.n) if v not in pset]
     vstar = len(others)
-    edges: set[tuple[int, int]] = set()
-    for x, y in g.edges():
-        xi = index.get(x, vstar)
-        yi = index.get(y, vstar)
-        if xi != yi:
-            edges.add((min(xi, yi), max(xi, yi)))
-    return build_graph(len(others) + 1, sorted(edges)), vstar, tuple(others) + (None,)
+    index = {v: i for i, v in enumerate(others)} | dict.fromkeys(path, vstar)
+    edges = [(index[x], index[y]) for x in range(g.n) for y in g.adj[x] if index[x] != index[y]]
+    return build_graph(vstar + 1, edges), vstar, tuple(others) + (None,)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TextIO
 
 from .embedding import RotationSystem
-from .graph import Coloring, DefectVector, Graph, build_graph
+from .graph import Coloring, DefectVector, Graph, _graph_from_rows, build_graph
 
 
 class FormatError(ValueError):
@@ -36,13 +36,7 @@ class FormatError(ValueError):
 
 
 def _data_lines(f: TextIO) -> list[list[str]]:
-    out = []
-    for raw in f:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(line.split())
-    return out
+    return [parts for parts in map(str.split, f) if parts and not parts[0].startswith("#")]
 
 
 def write_graph(g: Graph, f: TextIO) -> None:
@@ -92,19 +86,11 @@ def read_rotation(f: TextIO) -> RotationSystem:
         rows[v] = tuple(int(x) - 1 for x in parts[2:])
     if len(rows) != n:  # rows are distinct and in range, so this is every vertex once
         raise FormatError("rotation must list every vertex exactly once")
-    edges = []
-    for v, nbrs in rows.items():
-        for w in nbrs:
-            if not (0 <= w < n):
-                raise FormatError(f"neighbor {w + 1} of vertex {v + 1} out of range")
-            edges.append((v, w))
-    g = build_graph(n, edges)
+    rot = tuple(rows[v] for v in range(n))
+    g = _graph_from_rows(rot, 1, FormatError)
     if g.m != m:
         raise FormatError(f"header announces {m} edges, neighbor lists give {g.m}")
-    for v in range(n):
-        if sorted(rows[v]) != sorted(g.adj[v]):
-            raise FormatError(f"vertex {v + 1} lists a neighbor set inconsistent with the edges")
-    return RotationSystem(g, tuple(rows[v] for v in range(n)))
+    return RotationSystem(g, rot)
 
 
 def write_certificate(coloring: Coloring, d: DefectVector,

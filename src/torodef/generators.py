@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .graph import Graph, build_graph, join
+from .graph import Graph, _graph_from_rows, build_graph, join
 from .embedding import RotationSystem
 
 
@@ -109,7 +109,7 @@ def _grid_rows(spec: GridSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     m, n, k = spec.m, spec.n, spec.k
     rows = tuple(tuple(a * n + b for a, b in _grid_neighbors(m, n, k, i, j))
                  for i in range(m) for j in range(n))
-    return build_graph(m * n, ((v, w) for v, row in enumerate(rows) for w in row)), rows
+    return _graph_from_rows(rows), rows
 
 
 def gen_grid(spec: GridSpec) -> tuple[Graph, RotationSystem]:
@@ -139,13 +139,10 @@ def canonical_offset(x: int, n: int) -> int:
 
 def _delete_vertex(rot: RotationSystem, v: int) -> RotationSystem:
     """Remove one vertex from an embedding, keeping the cyclic orders."""
-    g = rot.graph
-    keep = [x for x in range(g.n) if x != v]
+    keep = [x for x in range(rot.graph.n) if x != v]
     index = {x: i for i, x in enumerate(keep)}
-    edges = [(index[a], index[b]) for a, b in g.edges() if v not in (a, b)]
-    g2 = build_graph(g.n - 1, edges)
     rows = tuple(tuple(index[w] for w in rot.rot[x] if w != v) for x in keep)
-    return RotationSystem(g2, rows)
+    return RotationSystem(_graph_from_rows(rows), rows)
 
 
 def _hajos_h7() -> Graph:

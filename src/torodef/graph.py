@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor sets.
 
-    Invariants (enforced by :func:`build_graph`): no self-loops, adjacency
-    is symmetric, and no multi-edges (neighbors form a set).
+    Invariants (enforced by :func:`build_graph` and :func:`_graph_from_rows`):
+    no self-loops, adjacency is symmetric, and no multi-edges.
     """
 
     n: int
@@ -58,6 +58,24 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, tuple(frozenset(a) for a in adj))
+
+
+def _graph_from_rows(rows: Sequence[Sequence[int]], base: int = 0, error=ValueError) -> Graph:
+    """The simple graph in which vertex v has the neighbors ``rows[v]``: each
+    a vertex other than v, listed once, that lists v back.  Else ``error``
+    names the first bad row, vertices numbered from ``base`` (1 for a file)."""
+    n = len(rows)
+    adj = tuple(frozenset(set(row)) for row in rows)  # via a set: sized to fit, a third smaller
+    for v, row in enumerate(rows):
+        if v in adj[v] or len(adj[v]) != len(row):
+            what = "itself as a neighbor" if v in adj[v] else "a neighbor twice"
+            raise error(f"vertex {v + base} lists {what}")
+        for w in row:
+            if not 0 <= w < n:
+                raise error(f"neighbor {w + base} of vertex {v + base} out of range")
+            if v not in adj[w]:
+                raise error(f"vertex {v + base} lists {w + base}, which does not list it back")
+    return Graph(n, adj)
 
 
 @dataclass(frozen=True)
@@ -134,31 +152,30 @@ def verify_coloring(g: Graph, coloring: Sequence[int], d: DefectVector) -> Verif
     k = d.k
     if len(coloring) != g.n:
         raise ValueError(f"coloring covers {len(coloring)} vertices, graph has {g.n}")
-    for v, c in enumerate(coloring):
-        if not (1 <= c <= k):
-            raise ValueError(f"vertex {v} has class {c}, outside 1..{k}")
 
     mono: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     induced_deg = [0] * g.n
-    for u, v in g.edges():
-        if coloring[u] == coloring[v]:
-            mono[coloring[u] - 1].append((u, v))
-            induced_deg[u] += 1
-            induced_deg[v] += 1
-
-    max_degrees = []
-    for c in range(1, k + 1):
-        degs = [induced_deg[v] for v in range(g.n) if coloring[v] == c]
-        max_degrees.append(max(degs, default=0))
+    max_degrees = [0] * k
+    for u, c in enumerate(coloring):
+        if not 1 <= c <= k:
+            raise ValueError(f"vertex {u} has class {c}, outside 1..{k}")
+        for v in g.adj[u]:
+            if coloring[v] == c:
+                induced_deg[u] += 1
+                if u < v:
+                    mono[c - 1].append((u, v))
+        max_degrees[c - 1] = max(max_degrees[c - 1], induced_deg[u])
+    for m in mono:
+        m.sort()  # lexicographic, as the star budget's first violation reads them
 
     # Lexicographically first violation: scan classes in order, then the
     # smallest offending vertex (degree bound) before the star budget.
     first_violation: Optional[tuple[int, object]] = None
     for c in range(1, k + 1):
         bound, star = d.entries[c - 1]
-        bad = [v for v in range(g.n) if coloring[v] == c and induced_deg[v] > bound]
-        if bad:
-            first_violation = (c, min(bad))
+        if max_degrees[c - 1] > bound:
+            first_violation = (c, next(v for v in range(g.n)
+                                       if coloring[v] == c and induced_deg[v] > bound))
             break
         if star and len(mono[c - 1]) > 1:
             first_violation = (c, mono[c - 1][1])
@@ -168,7 +185,7 @@ def verify_coloring(g: Graph, coloring: Sequence[int], d: DefectVector) -> Verif
         valid=first_violation is None,
         max_degrees=tuple(max_degrees),
         mono_counts=tuple(len(m) for m in mono),
-        mono_edges=tuple(tuple(sorted(m)) for m in mono),
+        mono_edges=tuple(tuple(m) for m in mono),
         first_violation=first_violation,
     )
 

@@ -66,6 +66,14 @@ def test_format_errors():
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\ncolor 1 2\nmono 0\n"))
     with pytest.raises(fileio.FormatError):  # a repeated mono line, not an overwrite
         fileio.read_certificate(io.StringIO("defects 0 0\ncolor 1 1\nmono 5\nmono 0\n"))
+    # A malformed rotation row names its 1-based vertex.
+    for text, message in (("p rot 2 1\nr 1 1\nr 2\n", "vertex 1 lists itself"),
+                          ("p rot 2 1\nr 1 2 2\nr 2 1\n", "vertex 1 lists a neighbor twice"),
+                          ("p rot 3 1\nr 1 2\nr 2\nr 3\n", "vertex 1 lists 2, which does not"),
+                          ("p rot 2 1\nr 1 2 3\nr 2 1\n", "neighbor 3 of vertex 1 out of range"),
+                          ("p rot 2 1\nr 1 0\nr 2 1\n", "neighbor 0 of vertex 1 out of range")):
+        with pytest.raises(fileio.FormatError, match=message):
+            fileio.read_rotation(io.StringIO(text))
 
 
 def test_rotation_header_vertex_count_is_checked_against_the_rows():
@@ -111,6 +119,14 @@ def test_parse_family_token():
 
 def run(args):
     return main(args)
+
+
+def test_a_self_loop_in_a_rotation_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "loop.rot"
+    path.write_text("p rot 2 1\nr 1 1\nr 2\n")
+    assert run(["sncc", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: vertex 1 lists itself as a neighbor\n" and out.out == ""
 
 
 def test_gen_writes_graph_and_rotation(tmp_path, capsys):

@@ -33,6 +33,8 @@ def test_rotation_system_validates_neighbor_sets():
         RotationSystem(g, ((1,), (0, 2)))  # wrong length
     with pytest.raises(ValueError):
         RotationSystem(g, ((1,), (0, 2, 0), (1,)))  # a repeated neighbor: succ would not be a permutation
+    with pytest.raises(ValueError):  # a repeated neighbor of the right length
+        RotationSystem(g, ((1,), (0, 0), (1,)))
 
 
 def test_face_counts_on_canonical_embeddings():
@@ -371,9 +373,12 @@ def test_shortest_path_and_contract_path():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     assert shortest_path(g, 0, 3) == (0, 1, 3)
     unreachable = build_graph(4, [(0, 1), (2, 3)])
-    for v in (2, 4, -1):  # another component, or no vertex at all
-        with pytest.raises(ValueError, match="unreachable"):
-            shortest_path(unreachable, 0, v)
+    with pytest.raises(ValueError, match="vertex 2 unreachable from 0"):  # another component
+        shortest_path(unreachable, 0, 2)
+    k7 = gen_named("k7")[0]
+    for graph, v in ((unreachable, 4), (unreachable, -1), (k7, 7), (k7, -1)):  # no vertex at all
+        with pytest.raises(ValueError, match=rf"need a vertex v in 0\.\.{graph.n - 1}, got v={v}"):
+            shortest_path(graph, 0, v)
     for u, v in ((-1, 3), (4, 0)):  # a start that is no vertex
         with pytest.raises(ValueError, match="need a vertex u"):
             shortest_path(unreachable, u, v)
