@@ -8,9 +8,11 @@ implements the two surgeries the coloring pipelines need: cutting the torus
 along a non-contractible cycle and contracting both copies to single
 vertices, with a genus-0 rotation system that certifies the result planar,
 and contracting a path into one vertex.  A rotation system keeps its dart
-table, root-0 BFS tree (shared by the signatures and the cycle search),
-faces, genus, shortest non-contractible cycle and cut once computed; rows
-become a graph through the one builder ``graph._graph_from_rows``.
+table, root-0 BFS tree (the genus's connectivity check, shared by the
+signatures and the cycle search), faces, genus, shortest non-contractible
+cycle and cut once computed; rows become a graph through the one builder
+``graph._graph_from_rows``.  One breadth-first search, ``_bfs``, grows every
+tree here: root 0's, one per root of the cycle search, and ``shortest_path``'s.
 
 Darts are ints, and a face is a cycle of the face permutation succ . twin.
 Homology signatures are bitmasks over the ``eg`` leftover edges of the
@@ -69,18 +71,13 @@ class RotationSystem:
         return off, head, twin, succ
 
     @functools.cached_property
-    def _tree(self) -> tuple[list[int], list[int]]:
-        """Root 0's BFS tree (smaller neighbors first) as per-vertex depth and parent, grown
-        once: the spanning tree of :func:`edge_signatures` and of the SNCC's class search."""
+    def _tree(self) -> tuple[list[int], list[int], list[int]]:
+        """Root 0's BFS tree of :func:`_bfs` over the sorted neighbor lists, grown once:
+        the connectivity check of :func:`euler_genus` and the spanning tree of
+        :func:`edge_signatures` and of the SNCC's class search."""
         off, head, _, _ = self.darts
         n = self.graph.n
-        order, dist, parent = [0], [0] + [-1] * (n - 1), [-1] * n
-        for u in order:  # the list grows while it is read: a FIFO queue
-            for w in head[off[u]:off[u + 1]]:
-                if dist[w] < 0:
-                    dist[w], parent[w] = dist[u] + 1, u
-                    order.append(w)
-        return dist, parent
+        return _bfs([head[off[u]:off[u + 1]] for u in range(n)], 0, n)
 
     @functools.cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -145,27 +142,17 @@ def euler_genus(rot: RotationSystem) -> int:
 
     Faces (the cached :attr:`RotationSystem.faces`) are traced along darts,
     so a graph without edges has none, and the faces of a disconnected graph
-    lie on several surfaces: both are a ``ValueError``.  The package reads it
+    lie on several surfaces: both are a ``ValueError``, the second found by
+    root 0's kept BFS tree falling short of some vertex.  The package reads it
     once per rotation system, through the cached :attr:`RotationSystem.genus`.
     """
     g = rot.graph
-    if g.m == 0 or not _connected(g):
+    if g.m == 0 or len(rot._tree[0]) != g.n:
         raise ValueError("Euler genus needs a connected graph with at least one edge")
     eg = 2 - (g.n - g.m + len(rot.faces))
     if eg < 0 or eg % 2 != 0:
         raise AssertionError(f"impossible Euler genus {eg} from face tracing")
     return eg
-
-
-def _connected(g: Graph) -> bool:
-    seen = [True] + [False] * (g.n - 1)
-    order = [0] if g.n else []
-    for u in order:  # the list grows while it is read: a FIFO queue
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-    return len(order) == g.n
 
 
 def edge_signatures(rot: RotationSystem) -> list[int]:
@@ -182,7 +169,7 @@ def edge_signatures(rot: RotationSystem) -> list[int]:
     _, head, twin, _ = rot.darts
 
     # Root 0's BFS tree spans the primal graph; the other edges by their smaller darts.
-    parent = rot._tree[1]
+    parent = rot._tree[2]
     nontree = [d for d, w in enumerate(head) if d < twin[d]
                and parent[w] != head[twin[d]] and parent[head[twin[d]]] != w]
 
@@ -242,26 +229,24 @@ def _canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     return min(ahead, ahead[:1] + ahead[:0:-1])
 
 
-def _bfs_tree(nbrs: list[list[tuple[int, int]]], root: int, depth_cap: int
-              ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """BFS tree from ``root`` over ``nbrs`` (each neighbor with the signature
-    of its edge) that expands no vertex at depth ``depth_cap``: the reached
-    vertices in BFS order, and per vertex its depth (-1 if not reached), its
-    parent and its prefix signature ``psig``, the signature of the tree path
-    from the root."""
+def _bfs(nbrs: Sequence[Sequence[int]], root: int, depth_cap: int
+         ) -> tuple[list[int], list[int], list[int]]:
+    """BFS tree from ``root`` that visits each vertex's neighbors in the order
+    ``nbrs`` lists them and expands no vertex at depth ``depth_cap``: the
+    reached vertices in BFS order, and per vertex its depth (-1 if not
+    reached) and its parent (-1 for the root and the unreached)."""
     n = len(nbrs)
-    order, dist, parent, psig = [root], [-1] * n, [-1] * n, [0] * n
+    order, dist, parent = [root], [-1] * n, [-1] * n
     dist[root] = 0
     for u in order:  # the list grows while it is read: a FIFO queue
-        if dist[u] >= depth_cap:
+        d = dist[u] + 1
+        if d > depth_cap:
             break
-        for w, s in nbrs[u]:
+        for w in nbrs[u]:
             if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                psig[w] = psig[u] ^ s
+                dist[w], parent[w] = d, u
                 order.append(w)
-    return order, dist, parent, psig
+    return order, dist, parent
 
 
 def _fundamental_cycle(dist: list[int], parent: list[int], u: int, w: int) -> list[int]:
@@ -306,11 +291,11 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
         raise ValueError("shortest non-contractible cycle requires Euler genus 2")
     off, head, _, _ = rot.darts
     sig = edge_signatures(rot)
-    # (neighbor, edge signature) pairs, smaller neighbors first as BFS visits them
-    nbrs = [[(head[d], sig[d]) for d in range(off[u], off[u + 1])] for u in range(g.n)]
-    higher = [[(w, s) for w, s in nbrs[u] if w > u] for u in range(g.n)]  # each edge once
+    nbrs = [head[off[u]:off[u + 1]] for u in range(g.n)]  # smaller first, as BFS visits them
+    higher = [[(w, s) for w, s in zip(nbrs[u], sig[off[u]:off[u + 1]]) if w > u]
+              for u in range(g.n)]  # each edge once, with its signature
 
-    dist, parent = rot._tree  # its edges have signature 0, so its prefix signatures are 0
+    _, dist, parent = rot._tree  # its edges have signature 0, so its prefix signatures are 0
     shortest: dict[int, list[int]] = {}  # nonzero class -> its shortest fundamental cycle
     for u in range(g.n):
         for w, s in higher[u]:
@@ -324,14 +309,19 @@ def shortest_noncontractible_cycle(rot: RotationSystem) -> CycleCert:
     best: Optional[tuple[int, tuple[int, ...], int]] = None
     for root in sorted(set(c1) | set(c2)):
         depth_cap = g.n if best is None else best[0] // 2
-        order, dist, parent, psig = _bfs_tree(nbrs, root, depth_cap)
+        order, dist, parent = _bfs(nbrs, root, depth_cap)
+        psig = [0] * g.n  # the signature of each tree path from the root, parents first
+        for w in order[1:]:  # the dart p -> w is off[p] plus w's place in p's sorted list
+            p = parent[w]
+            psig[w] = psig[p] ^ sig[off[p] + nbrs[p].index(w)]
         for u in order:  # only an edge inside the BFS ball closes a candidate
+            pu, du, su = parent[u], dist[u], psig[u]
             for w, s in higher[u]:
-                if dist[w] < 0 or parent[u] == w or parent[w] == u:
+                if dist[w] < 0 or w == pu or parent[w] == u:
                     continue
-                if best is not None and dist[u] + dist[w] + 1 > best[0]:
+                if best is not None and du + dist[w] + 1 > best[0]:
                     continue
-                s ^= psig[u] ^ psig[w]
+                s ^= su ^ psig[w]
                 if s == 0:
                     continue
                 cycle = _fundamental_cycle(dist, parent, u, w)
@@ -450,21 +440,14 @@ def cut_and_contract(rot: RotationSystem, c: CycleCert) -> CutResult:
 
 
 def shortest_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
-    """Breadth-first shortest u-v path; ties broken by exploring smaller
-    neighbor indices first.  The search stops once it reaches v."""
+    """Breadth-first shortest u-v path, the tree path of :func:`_bfs` from u;
+    ties are broken by exploring smaller neighbor indices first."""
     if u == v or not 0 <= u < g.n:
         raise ValueError(f"need a vertex u in 0..{g.n - 1} and v != u, got u={u}, v={v}")
     if not 0 <= v < g.n:
         raise ValueError(f"need a vertex v in 0..{g.n - 1}, got v={v}")
-    parent, order = {u: u}, [u]
-    for x in order:  # the list grows while it is read: a FIFO queue
-        for w in sorted(g.adj[x]):
-            if w not in parent:
-                parent[w] = x
-                order.append(w)
-        if v in parent:
-            break
-    else:
+    _, dist, parent = _bfs([sorted(a) for a in g.adj], u, g.n)
+    if dist[v] < 0:
         raise ValueError(f"vertex {v} unreachable from {u}")
     path = [v]
     while path[-1] != u:

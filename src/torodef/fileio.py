@@ -58,9 +58,12 @@ def read_graph(f: TextIO) -> Graph:
         if not (1 <= u < v <= n):
             raise FormatError(f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
         edges.append((u - 1, v - 1))
-    if len(edges) != m or len(set(edges)) != m:
-        raise FormatError(f"header announces {m} edges, found {len(edges)} distinct")
-    return build_graph(n, edges)
+    if len(edges) != m:  # before anything of the announced size is built
+        raise FormatError(f"header announces {m} edges, found {len(edges)} edge lines")
+    g = build_graph(n, edges)
+    if g.m != m:
+        raise FormatError(f"header announces {m} edges, found {g.m} distinct")
+    return g
 
 
 def write_rotation(rot: RotationSystem, f: TextIO) -> None:

@@ -56,6 +56,8 @@ def test_format_errors():
         fileio.read_graph(io.StringIO("p edge 3 1\ne 3 1\n"))  # u < v violated
     with pytest.raises(fileio.FormatError):
         fileio.read_graph(io.StringIO("p edge 3 2\ne 1 2\n"))  # count mismatch
+    with pytest.raises(fileio.FormatError, match="found 1 distinct"):  # a repeated edge line
+        fileio.read_graph(io.StringIO("p edge 3 2\ne 1 2\ne 1 2\n"))
     with pytest.raises(fileio.FormatError):
         fileio.read_graph(io.StringIO("c just a comment\n"))
     with pytest.raises(fileio.FormatError):

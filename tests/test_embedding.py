@@ -1,7 +1,9 @@
 """Rotation systems, homology, shortest non-contractible cycles, cutting."""
 import hashlib
+import random
 import time
 
+import networkx as nx
 import pytest
 
 from torodef import (GridSpec, build_graph, color_0004, color_00002, color_600001, gen_grid,
@@ -12,8 +14,8 @@ from torodef.embedding import (RotationSystem, cut_and_contract, contract_path,
                                shortest_path, trace_faces)
 from torodef.cli import parse_family_token
 from .conftest import (all_valid_grids, cut_observations, girth, irregular_torus,
-                       make_cycle_cert, pair_signatures, planarity_check, sncc_all_roots,
-                       walk_signature)
+                       make_cycle_cert, pair_signatures, planarity_check, random_connected_graph,
+                       sncc_all_roots, walk_signature)
 
 K4_PLANAR_ROT = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
@@ -63,6 +65,7 @@ DEGENERATE = [
     (0, [], ()),                                                 # no vertex at all
     (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],       # two disjoint triangles
      ((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4))),
+    (4, [(1, 2), (2, 3), (1, 3)], ((), (2, 3), (3, 1), (1, 2))),  # vertex 0 beside a triangle
 ]
 
 
@@ -94,35 +97,36 @@ def test_each_rotation_system_is_traced_once(monkeypatch, tmp_path, capsys):
     for module in (embedding, generators, cli):  # every binding a module may call
         if hasattr(module, "trace_faces"):
             monkeypatch.setattr(module, "trace_faces", counting)
-    # The genus is kept with the faces: one connectivity check per trace.
-    checks = []
+    # Root 0's BFS tree is the genus's connectivity check and is kept: one tree per trace.
+    trees = []
+    tree = RotationSystem.__dict__["_tree"]  # the cached property; wrap the function it runs
 
-    def checking(g, real=embedding._connected):
-        checks.append(g)
-        return real(g)
+    def growing(rot, real=tree.func):
+        trees.append(rot)
+        return real(rot)
 
-    monkeypatch.setattr(embedding, "_connected", checking)
+    monkeypatch.setattr(tree, "func", growing)
 
     color_600001(RotationSystem(grid.graph, grid.rot))
-    assert len(calls) == len(checks) == 2  # the input, and the cut graph's genus-0 certificate
+    assert len(calls) == len(trees) == 2  # the input, and the cut graph's genus-0 certificate
 
     calls.clear()
-    checks.clear()
+    trees.clear()
     rot = RotationSystem(grid.graph, grid.rot)
     for pipeline in (color_600001, color_00002, color_0004):
         pipeline(rot)
-    assert len(calls) == len(checks) == 2  # the input once, and its one cut's certificate
+    assert len(calls) == len(trees) == 2  # the input once, and its one cut's certificate
     assert calls[0] is rot
 
     calls.clear()
-    checks.clear()
+    trees.clear()
     gen_grid(GridSpec(7, 7, 3))
-    assert len(calls) == len(checks) == 1
+    assert len(calls) == len(trees) == 1
 
     calls.clear()
-    checks.clear()
+    trees.clear()
     assert cli.main(["embed-info", path]) == 0
-    assert len(calls) == len(checks) == 1
+    assert len(calls) == len(trees) == 1
     capsys.readouterr()
 
 
@@ -367,6 +371,21 @@ def test_torus_cut_digest_is_pinned():
                        edge_signatures(rot), rot.sncc.vertices, rot.sncc.signature,
                        cut.rot.rot, cut.u, cut.v, cut.orig, certs)).encode())
     assert h.hexdigest() == "df8517596ced0dcb6cabd449028919db059c5a3ba2cd7ab6ebd1cb607bbb9f56"
+
+
+def test_shortest_path_matches_networkx_on_random_graphs():
+    rng = random.Random(24)
+    for _ in range(80):
+        g = random_connected_graph(rng, rng.randrange(2, 16))
+        nxg = nx.Graph(list(g.edges()))
+        u, v = rng.sample(range(g.n), 2)
+        path = shortest_path(g, u, v)
+        assert (path[0], path[-1]) == (u, v)
+        assert len(path) - 1 == nx.shortest_path_length(nxg, u, v)
+        assert all(b in g.adj[a] for a, b in zip(path, path[1:]))
+        beside = build_graph(g.n + 1, g.edges())  # one more vertex, isolated
+        with pytest.raises(ValueError, match=f"vertex {g.n} unreachable from {u}"):
+            shortest_path(beside, u, g.n)
 
 
 def test_shortest_path_and_contract_path():
