@@ -10,14 +10,14 @@ extends that to graphs that are not 5-degenerate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 from .embedding import RotationSystem, contract_path, shortest_path
 from .generators import (CirculantSpec, Classification, GridSpec, SPORADIC_PAIRS,
                          classify_6regular, _characters, _r_forms)
-from .graph import (Coloring, DefectVector, Graph, _min_degree_peel, build_graph, degeneracy,
-                    induced_subgraph, verify_coloring)
+from .graph import (Coloring, DefectVector, Graph, VerificationReport, _min_degree_peel,
+                    build_graph, degeneracy, induced_subgraph, verify_coloring)
 from .iso import are_isomorphic
 from .solver import INDETERMINATE, SAT, SolveResult, solve_with_precoloring
 
@@ -37,10 +37,12 @@ class Certificate:
     mono_edges: tuple[tuple[int, int], ...]
 
 
-def make_certificate(g: Graph, coloring: Coloring, d: DefectVector,
-                     provenance: str) -> Certificate:
-    """Verify a coloring and wrap it; invalid claims never leave a pipeline."""
-    report = verify_coloring(g, coloring, d)
+def make_certificate(g: Graph, coloring: Coloring, d: DefectVector, provenance: str,
+                     report: Optional[VerificationReport] = None) -> Certificate:
+    """Verify a coloring and wrap it; invalid claims never leave a pipeline.
+    A ``report`` is the search's own check of the coloring on ``g``."""
+    if report is None:
+        report = verify_coloring(g, coloring, d)
     if not report.valid:
         raise AssertionError(
             f"pipeline {provenance!r} produced an invalid coloring: {report.first_violation}")
@@ -84,7 +86,8 @@ def _search(g: Graph, pre: Mapping[int, int], d: DefectVector) -> SolveResult:
     Crato & Kautz, JAR 24, 2000).  Run 1 is :func:`solve_with_precoloring`
     on ``g`` itself; run i > 1 searches ``g`` relabeled by a permutation
     seeded by i alone.  UNSAT from any run is exact; INDETERMINATE means
-    the budget ran out.
+    the budget ran out.  A SAT result carries the search's report, with a
+    relabeled run's monochromatic edges mapped back to ``g``.
     """
     spent, run = 0, 1
     while True:
@@ -96,7 +99,13 @@ def _search(g: Graph, pre: Mapping[int, int], d: DefectVector) -> SolveResult:
         spent += min(res.nodes, cutoff)
         if res.status != INDETERMINATE or spent >= _NODE_BUDGET:
             coloring = res.coloring and tuple(res.coloring[perm[v]] for v in range(g.n))
-            return SolveResult(res.status, coloring, spent)
+            report = res.report
+            if report and run > 1:  # h's vertex perm[v] is g's vertex v
+                back = {p: v for v, p in enumerate(perm)}
+                report = replace(report, mono_edges=tuple(
+                    tuple(sorted(tuple(sorted((back[a], back[b]))) for a, b in m))
+                    for m in report.mono_edges))
+            return SolveResult(res.status, coloring, spent, report=report)
         run += 1
 
 
@@ -350,7 +359,7 @@ def _by_solve(g: Graph, d: DefectVector, tag: str) -> Certificate:
     res = _search(g, {}, d)
     if res.status != SAT:
         raise PipelineError(f"color_6regular[{tag}]: search came back {res.status}")
-    return make_certificate(g, res.coloring, d, tag)
+    return make_certificate(g, res.coloring, d, tag, res.report)
 
 
 def color_6regular(spec: Union[GridSpec, CirculantSpec]) -> Certificate:
@@ -435,5 +444,5 @@ def color_0003_high_min_degree(g: Graph, core_spec: Union[GridSpec, CirculantSpe
     for d in targets:
         res = _search(g, pre, d)
         if res.status == SAT:
-            return make_certificate(g, res.coloring, d, "0003-core-lift")
+            return make_certificate(g, res.coloring, d, "0003-core-lift", res.report)
     raise PipelineError("0003-core-lift: extension search failed for all targets")

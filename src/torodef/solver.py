@@ -4,15 +4,18 @@ Complete backtracking search with saturation-style dynamic vertex ordering
 (DSATUR; Brelaz, CACM 22, 1979), symmetry breaking over interchangeable
 classes, and optional precoloring, on Python ints used as vertex bitsets
 (after San Segundo et al., Computers & OR 38, 2011).  Each class keeps a
-mask of the vertices that may still join it.  A defective or starred class
-also keeps bit planes counting each vertex's neighbours in the class, its
-members, the vertices next to a member at its defect, and its edge count.
-Bit planes count each vertex's blocked classes; the next vertex is the
-uncolored one with the most, then the highest degree, then the lowest index.
-Placing only shrinks masks, and each frame of the explicit stack keeps what
-its undo needs: the newly blocked vertices (they restore the class mask and
-the blocked counts), plus the old saturation mask and the vertex's own count
-for a defective class; neighbour counts are restored by subtraction.
+mask of the vertices that may still join it.  A starred class (defect 1, at
+most one edge) also keeps one mask, its reach (the union of its members'
+neighbourhoods), and its edge count, 0 or 1.  A non-starred defective class
+keeps bit planes counting each vertex's neighbours in the class, its
+members, and the vertices next to a member at its defect.  Bit planes count
+each vertex's blocked classes; the next vertex is the uncolored one with the
+most, then the highest degree, then the lowest index.  Placing only shrinks
+masks, and each frame of the explicit stack keeps what its undo needs: the
+newly blocked vertices (they restore the class mask and the blocked counts),
+plus the old reach and the edge the vertex made for a starred class, or the
+old saturation mask for a defective class, whose neighbour counts are
+restored by subtraction.
 A brute-force enumeration oracle is provided for cross-validation; it is the
 ground truth the search is tested against.
 """
@@ -81,29 +84,14 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
     class_used = [0] * k                     # vertices per class
     uncolored = (1 << n) - 1
     feas = [uncolored] * k
-    blocked = [0] * k.bit_length()           # planes of the blocked-class count
+    blocked = [0] * k.bit_length()           # blocked-class count planes, high bit first
     planes = [[0] * max([dc + 1, *degrees]).bit_length() for dc in defects]  # neighbours in c
     members = [0] * k
     near_sat = [0] * k                       # vertices next to a saturated member
-    mono = [0] * k                           # monochromatic edges per class
+    reach = [0] * k                          # starred: vertices next to a member
+    edges = [0] * k                          # starred: monochromatic edges, 0 or 1
 
     # Counts are bit-sliced: bit v of pl[j] is bit j of vertex v's count.
-    def add(pl: list[int], mask: int) -> None:  # count += 1 on each bit of mask
-        j = 0
-        while mask:
-            p = pl[j]
-            pl[j] = p ^ mask
-            mask &= p
-            j += 1
-
-    def sub(pl: list[int], mask: int) -> None:  # count -= 1 on each bit of mask
-        j = 0
-        while mask:
-            p = pl[j]
-            pl[j] = p ^ mask
-            mask &= ~p
-            j += 1
-
     def count(pl: list[int], v: int) -> int:
         return sum((p >> v & 1) << j for j, p in enumerate(pl))
 
@@ -118,34 +106,56 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
         return gt | eq
 
     # Placing only shrinks feasibility.  The returned record undoes it: the
-    # class, the newly blocked vertices, the old saturation mask and v's count.
+    # class, the newly blocked vertices, the old saturation or reach mask,
+    # and the edges v made in a starred class.
     def place(v: int, bit: int, c: int) -> tuple:
         nonlocal uncolored
         class_used[c] += 1
         uncolored ^= bit
-        f, dc = feas[c], defects[c]
+        f, nv = feas[c], nbr[v]
         old = cnt = 0
-        if not dc:
-            delta = f & nbr[v]
+        if not defects[c]:
+            delta = f & nv
+        elif starred[c]:
+            # Blocked: a second neighbour in c, or c's reach once c has its
+            # edge.  So a feasible v has at most one neighbour in c.
+            old = r = reach[c]
+            reach[c] = r | nv
+            if edges[c]:
+                delta = f & nv
+            elif r & bit:
+                cnt = edges[c] = 1
+                delta = f & (r | nv)
+            else:
+                delta = f & nv & r
         else:
-            pl = planes[c]
+            pl, dc = planes[c], defects[c]
             cnt = count(pl, v)
-            add(pl, nbr[v])
-            m = mono[c] = mono[c] + cnt
+            j, x = 0, nv                     # count += 1 on v's neighbours
+            while x:
+                p = pl[j]
+                pl[j] = p ^ x
+                x &= p
+                j += 1
             members[c] |= bit
             old = sat = near_sat[c]
             if cnt == dc:
-                sat |= nbr[v]
-            x = members[c] & nbr[v]
+                sat |= nv
+            x = members[c] & nv
             while x:
                 w = (x & -x).bit_length() - 1
                 x &= x - 1
                 if count(pl, w) == dc:
                     sat |= nbr[w]
             near_sat[c] = sat
-            delta = f & (sat | at_least(pl, 1 if starred[c] and m else dc + 1))
+            delta = f & (sat | at_least(pl, dc + 1))
         feas[c] = f ^ delta
-        add(blocked, delta)
+        j, x = -1, delta                     # blocked += 1 on delta
+        while x:
+            p = blocked[j]
+            blocked[j] = p ^ x
+            x &= p
+            j -= 1
         return c, delta, old, cnt
 
     # Seed the precoloring, reporting the first violated constraint.
@@ -167,10 +177,10 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
             out += [c for c in grp if class_used[c]] + [c for c in grp if not class_used[c]][:1]
         return sorted(out)
 
-    # Frames [vertex, allowed classes, an iterator over them, undo record].
-    # A frame's vertex sees the same feasibility masks whenever its frame is
-    # on top, since all placed above it has been undone, so each class is
-    # tested when the iterator reaches it.
+    # Each placed vertex has a frame (vertex, allowed classes, an iterator
+    # over them, undo record).  A vertex sees the same feasibility masks each
+    # time its iterator resumes, since all placed after it has been undone,
+    # so each class is tested when the iterator reaches it.
     nodes = 0
     stack = []
     allowed = allowed_classes()
@@ -181,7 +191,7 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
         cand = uncolored
         if not cand:
             break
-        for p in reversed(blocked):
+        for p in blocked:
             t = cand & p
             if t:
                 cand = t
@@ -190,36 +200,44 @@ def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,
             if t:
                 cand = t
                 break
-        u = (cand & -cand).bit_length() - 1
-        stack.append([u, allowed, iter(allowed), None])
+        v = (cand & -cand).bit_length() - 1
+        bit, left = 1 << v, iter(allowed)
         while True:
-            top = stack[-1]
-            v, allowed, left, undo = top
-            bit = 1 << v
-            if undo is not None:  # unplace v
-                c, delta, old, cnt = undo
-                class_used[c] -= 1
-                uncolored |= bit
-                if defects[c]:
-                    sub(planes[c], nbr[v])
-                    members[c] ^= bit
-                    near_sat[c] = old
-                    mono[c] -= cnt
-                feas[c] |= delta
-                sub(blocked, delta)
             for c in left:
                 if feas[c] & bit:
                     break
-            else:
-                stack.pop()
+            else:  # no class left for v: unplace the vertex below it
                 if not stack:
                     return SolveResult(UNSAT, None, nodes)
+                v, allowed, left, (c, delta, old, cnt) = stack.pop()
+                bit = 1 << v
+                class_used[c] -= 1
+                uncolored |= bit
+                if starred[c]:
+                    reach[c] = old
+                    edges[c] -= cnt
+                elif defects[c]:
+                    pl, j, x = planes[c], 0, nbr[v]  # count -= 1 on v's neighbours
+                    while x:
+                        p = pl[j]
+                        pl[j] = p ^ x
+                        x &= ~p
+                        j += 1
+                    members[c] ^= bit
+                    near_sat[c] = old
+                feas[c] |= delta
+                j = -1                       # blocked -= 1 on delta
+                while delta:
+                    p = blocked[j]
+                    blocked[j] = p ^ delta
+                    delta &= ~p
+                    j -= 1
                 continue
             break
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             return SolveResult(INDETERMINATE, None, nodes)
-        top[3] = place(v, bit, c)
+        stack.append((v, allowed, left, place(v, bit, c)))
         # The allowed classes change only when c was unused before.
         if class_used[c] == 1:
             allowed = allowed_classes()

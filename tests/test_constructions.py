@@ -18,7 +18,7 @@ import torodef
 from torodef import (SAT, CirculantSpec, DefectVector, GridSpec, build_graph,
                      classify_6regular, gen_circulant, gen_grid, gen_named, induced_subgraph,
                      solve, solve_with_precoloring, verify_coloring)
-from torodef import constructions, embedding, generators
+from torodef import constructions, embedding, generators, solver
 from torodef.constructions import (PipelineError, _four_color_planar, apply_pattern, color_0004,
                                    color_00002, color_0122, color_600001,
                                    color_6regular, color_0003_high_min_degree,
@@ -452,6 +452,40 @@ def test_search_is_deterministic_across_restarts():
         assert first.status == SAT
         assert first.nodes > constructions._run_unit(g.n), spec  # it restarted
         assert constructions._search(g, {}, PROPER4) == first, spec
+
+
+def test_restarted_search_reports_on_the_input_graph(monkeypatch):
+    # A relabeled run's report, monochromatic edges mapped back, is the
+    # verifier's report on g.  Short first runs force restarts on the
+    # defective targets.
+    cases = [(classify_6regular(spec).graph, PROPER4)
+             for spec in (CirculantSpec(58, frozenset({5, 11, 16})), GridSpec(4, 13, 2))]
+    assert all(constructions._search(g, {}, d).nodes > constructions._run_unit(g.n)
+               for g, d in cases)
+    monkeypatch.setattr(constructions, "_run_unit", lambda n: 5)
+    cases += [(gen_named(name)[0], DefectVector.of(2, 2, 2)) for name in ("k7", "t11")]
+    mono = 0
+    for g, d in cases:
+        res = constructions._search(g, {}, d)
+        assert res.status == SAT and res.nodes > 5
+        assert res.report == verify_coloring(g, res.coloring, d)
+        mono += len(res.report.all_mono_edges())
+    assert mono
+
+
+def test_searched_6regular_coloring_is_verified_once(monkeypatch):
+    # The search's own check is the certificate's; make_certificate does not
+    # repeat it.
+    calls = []
+    for module in (solver, constructions):
+
+        def counting(*args, real=module.verify_coloring):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "verify_coloring", counting)
+    cert = color_6regular(GridSpec(5, 5, 1))
+    assert cert.provenance == "6reg-proper4-solve"
+    assert len(calls) == 1
 
 
 def test_search_returns_the_first_runs_coloring():

@@ -51,21 +51,23 @@ def test_solve_agrees_with_oracle_randomly():
 
 def test_mixed_class_vectors_agree_with_oracle():
     # Proper, defective and starred classes in one search, with and without a
-    # precoloring.  A precolored instance is judged by trying every extension
-    # of the precoloring with the verifier.
+    # precoloring: interchangeable starred classes, and a defect-1 class
+    # beside a starred one.  A precolored instance is judged by trying every
+    # extension of the precoloring with the verifier.
     rng = random.Random(20261019)
     vectors = [DefectVector.parse(t) for t in
-               ("0,0,0,1*", "0,0,1,1*", "0,1*,2,0", "0,0,0,2", "1*,1*,0,0")]
-    for _ in range(200):
-        g = random_connected_graph(rng, rng.randrange(2, 8))
+               ("0,0,0,1*", "0,0,1,1*", "0,1*,2,0", "0,0,0,2", "1*,1*,0,0",
+                "1*,1*,1*", "1*,1,0", "0,1*,1*,1*")]
+    for _ in range(320):
+        g = random_connected_graph(rng, rng.randrange(2, 9))
         d = rng.choice(vectors)
         res, truth = solve(g, d), enumerate_oracle(g, d)
         assert res.status == truth.status, (list(g.edges()), str(d))
-        pre = {v: rng.randrange(1, 5) for v in rng.sample(range(g.n), 2)}
+        pre = {v: rng.randrange(1, d.k + 1) for v in rng.sample(range(g.n), 2)}
         res = solve_with_precoloring(g, pre, d)
         free = [v for v in range(g.n) if v not in pre]
         fills = ({**pre, **dict(zip(free, rest))}
-                 for rest in itertools.product(range(1, 5), repeat=len(free)))
+                 for rest in itertools.product(range(1, d.k + 1), repeat=len(free)))
         sat = any(verify_coloring(g, tuple(f[v] for v in range(g.n)), d).valid for f in fills)
         assert res.status == (SAT if sat else UNSAT), (list(g.edges()), str(d), pre)
         if truth.status == SAT:
@@ -110,6 +112,20 @@ def test_inconsistent_precoloring_reports_witness():
     res = solve_with_precoloring(g, {0: 1, 1: 1}, DefectVector.of(0, 0, 0, 0))
     assert res.status == UNSAT
     assert res.violation == (1, 1)  # second seeded vertex breaks class 1
+
+
+def test_precolored_star_class_witnesses():
+    # The first precolored vertex that breaks a starred class is the witness:
+    # a second neighbour in the class, or a second edge.
+    d = DefectVector.parse("1*,0")
+    cases = [(3, [(0, 2), (1, 2)], {0: 1, 1: 1, 2: 1}, (2, 1)),
+             (4, [(0, 1), (2, 3)], {0: 1, 1: 1, 2: 1, 3: 1}, (3, 1)),
+             (4, [(0, 1), (1, 2), (2, 3)], {0: 1, 1: 1, 2: 1}, (2, 1))]
+    for n, edges, pre, witness in cases:
+        res = solve_with_precoloring(build_graph(n, edges), pre, d)
+        assert (res.status, res.violation) == (UNSAT, witness), edges
+    res = solve_with_precoloring(build_graph(4, [(0, 1), (2, 3)]), {0: 1, 1: 1}, d)
+    assert (res.status, res.coloring) == (SAT, (1, 1, 1, 2))
 
 
 def test_precoloring_that_blocks_completion():
@@ -159,6 +175,7 @@ def test_search_order_is_pinned():
     punctured = build_graph(24, [(u - 1, v - 1) for u, v in g25.edges() if u and v])
     pins = [(circ(19, {1, 7, 8}), "0,0,0,1*", UNSAT, 4505),
             (circ(18, {1, 3, 4}), "0,0,0,1*", UNSAT, 4362),
+            (circ(26, {1, 7, 8}), "0,0,0,1*", UNSAT, 50891),
             (circ(35, {1, 2, 3}), "0,0,0,1*", UNSAT, 1608),
             (g25, "0,0,0,0", UNSAT, 3021),
             (punctured, "0,0,0,0", SAT, 184),
