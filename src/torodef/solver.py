@@ -16,12 +16,16 @@ newly blocked vertices (they restore the class mask and the blocked counts),
 plus the old reach and the edge the vertex made for a starred class, or the
 old saturation mask for a defective class, whose neighbour counts are
 restored by subtraction.
+On a graph that v -> v+1 (mod n) maps onto itself, :func:`solve` splits a
+starred class on its one edge, fixed at vertex 0 by the rotation, and tries
+that class without an edge last (symmetry breaking over the rotation group;
+after Crawford, Ginsberg, Luks & Roy, KR 1996).
 A brute-force enumeration oracle is provided for cross-validation; it is the
 ground truth the search is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping, Optional
 
@@ -49,8 +53,33 @@ def solve(g: Graph, d: DefectVector, node_budget: Optional[int] = None) -> Solve
     that check's report; UNSAT is exact.  When ``node_budget`` is exhausted
     the distinguished status INDETERMINATE is returned (never silently
     UNSAT); a negative budget raises ValueError.  Deterministic.
+
+    When ``d`` has a starred class s, ``g`` has an edge and v -> v+1 (mod n)
+    is an automorphism of ``g``, the search is split into cases.  s holds at
+    most one edge, and the rotation carries any edge onto one at vertex 0, so
+    first s holds the edge (0, x), for each neighbour x of 0 with 2x <= n in
+    increasing order (both ends precolored s), and last s holds no edge (s
+    searched as a proper class).  The first SAT case is returned; the cases
+    share the budget, and ``nodes`` is their sum.  Otherwise this is
+    :func:`solve_with_precoloring` with no precoloring.
     """
-    return solve_with_precoloring(g, {}, d, node_budget=node_budget)
+    n = g.n
+    s = next((c for c, (_, star) in enumerate(d.entries) if star), None)
+    if (s is None or not any(g.adj)
+            or any(g.adj[(v + 1) % n] != {(w + 1) % n for w in a} for v, a in enumerate(g.adj))):
+        return solve_with_precoloring(g, {}, d, node_budget=node_budget)
+    proper = list(d.entries)
+    proper[s] = (0, False)
+    cases = [({0: s + 1, x: s + 1}, d) for x in sorted(g.adj[0]) if 2 * x <= n]
+    cases.append(({}, DefectVector(tuple(proper))))
+    nodes = 0
+    for pre, dc in cases:
+        left = None if node_budget is None else node_budget - nodes
+        res = solve_with_precoloring(g, pre, dc, node_budget=left)
+        nodes += res.nodes
+        if res.status != UNSAT:  # SAT, or the budget ran out
+            return replace(res, nodes=nodes)
+    return SolveResult(UNSAT, None, nodes)
 
 
 def solve_with_precoloring(g: Graph, pre: Mapping[int, int], d: DefectVector,

@@ -184,8 +184,89 @@ def test_search_order_is_pinned():
             (k7, "0,0,0,1*,1*", SAT, 7),
             (k7, "0,0,0,0,0,0", UNSAT, 6)]
     for g, d, status, nodes in pins:
+        res = solve_with_precoloring(g, {}, DefectVector.parse(d))
+        assert (res.status, res.nodes) == (status, nodes), d
+
+
+def _circ(n, offsets):
+    return gen_circulant(CirculantSpec(n, frozenset(offsets)))
+
+
+def test_rotation_split_is_pinned():
+    # (status, nodes) of solve's case split on a cyclically labelled graph:
+    # the edge cases in increasing x, then the starred class as a proper one.
+    # A change to the case order or to the search inside a case moves these.
+    k7 = gen_named("k7")[0]
+    pins = [(_circ(19, {1, 7, 8}), "0,0,0,1*", UNSAT, 539),
+            (_circ(26, {1, 7, 8}), "0,0,0,1*", UNSAT, 4741),
+            (_circ(26, {1, 10, 11}), "0,0,0,1*", UNSAT, 5600),
+            (k7, "0,0,0,1*,1*", SAT, 5)]
+    for g, d, status, nodes in pins:
         res = solve(g, DefectVector.parse(d))
         assert (res.status, res.nodes) == (status, nodes), d
+
+
+def test_rotation_split_matches_the_plain_search():
+    # The split decides what the plain search decides, on every graph where
+    # it applies here, and each SAT coloring it returns verifies.
+    graphs = [_circ(n, {1, r, r + 1}) for r, n in SPORADIC_PAIRS]
+    graphs += [_circ(n, {1, 2, 3}) for n in range(7, 60)]
+    graphs += [gen_named(name)[0] for name in ("k7", "t11", "c3", "c4", "c5", "c8", "c9")]
+    for g in graphs:
+        for text in ("0,0,0,1*", "0,0,0,0,1*", "0,0,0,1*,1*"):
+            d = DefectVector.parse(text)
+            res, plain = solve(g, d), solve_with_precoloring(g, {}, d)
+            assert res.status == plain.status, (g.n, sorted(g.adj[0]), text)
+            if res.status == SAT:
+                report = verify_coloring(g, res.coloring, d)
+                assert report.valid and res.report == report
+
+
+def test_rotation_split_agrees_with_oracle_on_circulants():
+    rng = random.Random(28)
+    vectors = [DefectVector.parse(t) for t in
+               ("1*", "0,1*", "1*,1*", "0,0,1*", "1*,1,0", "0,1*,2", "1*,0,1*", "0,0,0,1*")]
+    # K2 at 1*: its one edge is (0, x) with 2x = n, the edge case's bound.
+    cases = [(2, [1], DefectVector.parse("1*"))]
+    for _ in range(120):
+        n = rng.randrange(2, 9)
+        offsets = [x for x in range(1, n // 2 + 1) if rng.random() < 0.5]
+        cases.append((n, offsets, rng.choice(vectors)))
+    for n, offsets, d in cases:
+        g = _circ(n, offsets)
+        res = solve(g, d)
+        assert res.status == enumerate_oracle(g, d).status, (n, offsets, str(d))
+        if res.status == SAT:
+            assert verify_coloring(g, res.coloring, d).valid
+
+
+def test_rotation_split_budgets_and_degenerate_inputs():
+    # The cases share one budget, and an exhausted budget reads as it does
+    # for the plain search: INDETERMINATE after budget + 1 nodes.
+    rng = random.Random(2028)
+    instances = [(_circ(19, {1, 7, 8}), DefectVector.parse("0,0,0,1*")),
+                 (gen_named("k7")[0], DefectVector.parse("0,0,0,1*,1*")),
+                 (gen_named("c5")[0], DefectVector.parse("0,1*"))]
+    for _ in range(40):
+        n = rng.randrange(2, 11)
+        offsets = [x for x in range(1, n // 2 + 1) if rng.random() < 0.5] or [1]
+        instances.append((_circ(n, offsets), DefectVector.parse(rng.choice(("0,1*", "0,0,1*", "1*,1*,0")))))
+    for g, d in instances:
+        full = solve(g, d)
+        assert full.status != INDETERMINATE
+        assert solve(g, d, node_budget=full.nodes) == full
+        budgets = range(full.nodes) if full.nodes <= 60 else (0, full.nodes // 2, full.nodes - 1)
+        for b in budgets:
+            cut = solve(g, d, node_budget=b)
+            assert (cut.status, cut.coloring, cut.nodes) == (INDETERMINATE, None, b + 1)
+    with pytest.raises(ValueError):
+        solve(_circ(19, {1, 7, 8}), DefectVector.parse("0,0,0,1*"), node_budget=-1)
+    # No edge, so no case split: the plain search, even with no vertex 0.
+    for n in (0, 1, 5):
+        g = build_graph(n, [])
+        res = solve(g, DefectVector.parse("1*"))
+        assert res == solve_with_precoloring(g, {}, DefectVector.parse("1*"))
+        assert (res.status, res.coloring) == (SAT, (1,) * n)
 
 
 def test_search_tree_digest_is_pinned():
